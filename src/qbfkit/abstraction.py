@@ -12,22 +12,36 @@ variable numbering:
 
 Subformulas whose variables lie on both sides of a block boundary are the
 interface of that boundary. A claim variable (`claim[n]`) states that the
-round being built keeps occurrence `n` alive; an outer variable
-(`outer_sat[n]`) states that the outer rounds already took care of the part
-of `n` they can see. Interface literals are the only channel between blocks:
-a block receives assumptions over the incoming interface and exposes claims
-over the outgoing one.
+round being built keeps node `n` alive; an outer variable (`outer_sat[n]`)
+states that the outer rounds already took care of the part of `n` they can
+see. Interface literals are the only channel between blocks: a block
+receives assumptions over the incoming interface and exposes claims over the
+outgoing one.
+
+Claim, outer and constraint variables name arena nodes, not occurrences of
+them. The matrix is a DAG, and a node reached from several parents (a QCIR
+gate shared by name) gets one claim variable, one outer variable and one set
+of constraints per block. That is sound because a node's value, and the part
+of it each block can see, depend only on its variables, never on the parent
+it is reached from: the copies an unrolled tree would hold get identical
+constraints, so one variable stands for all of them, and a grant, claim or
+refinement naming the node means the same thing wherever it occurs.
+Children are created before their parents, so ascending node ids are a
+topological order: `compute_influence` relies on it to see every child
+before its parent, and `maximize_claims` to raise child claims before the
+claims of their parents.
 
 The encoding walks the matrix with the block's polarity applied on the fly,
 so node ids are stable across blocks and polarities:
 
 * a literal of the current block becomes a SAT literal,
 * a literal of an outer block folds into the parent's outer variable,
-* a subtree entirely decided outside folds into the parent's outer variable,
-* a subtree reaching exactly this block gets its own claim variable,
+* a subformula entirely decided outside folds into the parent's outer
+  variable,
+* a subformula reaching exactly this block gets its own claim variable,
 * anything decided by inner blocks alone is invisible to claim constraints;
   only the top-level disjunction walk may name it (an inner literal lets the
-  round decline the root claim, an inner subtree may be claimed outright,
+  round decline the root claim, an inner subformula may be claimed outright,
   with satisfaction either way becoming the inner rounds' burden).
 
 Only claims actually referenced (from the matrix-level clauses, from other
@@ -40,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import (AND, LIT, OR, InternalError, QbfProblem, Quantifier,
-                      subformulas)
+                      subformulas, topological)
 from .sat import Solver
 
 
@@ -61,7 +75,7 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
         raise ValueError("a constant matrix has no influence structure")
     mins: dict[int, int] = {}
     maxs: dict[int, int] = {}
-    for n in reversed(subformulas(arena, problem.matrix)):
+    for n in topological(arena, problem.matrix):
         if arena.kinds[n] == LIT:
             s = problem.var_scope[abs(arena.payload[n])]
             mins[n] = maxs[n] = s
@@ -74,7 +88,10 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
 
 def boundary_interface(problem: QbfProblem, influence: InfluenceMap,
                        boundary: int) -> tuple[int, ...]:
-    """Subformulas with variables on both sides of boundary k|k+1, preorder."""
+    """Nodes with variables on both sides of boundary k|k+1, in preorder.
+
+    Each node is listed once, however many parents it has.
+    """
     if boundary <= 0 or boundary >= problem.scope_count:
         return ()
     return tuple(n for n in subformulas(problem.arena, problem.matrix)

@@ -49,7 +49,13 @@ def condition_formula(problem: QbfProblem, node: int,
 
 
 def _condition_into(problem: QbfProblem, influence: InfluenceMap, node: int,
-                    scope_index: int, dst: Arena) -> int:
+                    scope_index: int, dst: Arena,
+                    copies: dict | None = None) -> int:
+    """Build the grant condition of `node` at a block into `dst`.
+
+    `copies` is the `copy_into` memo of `dst`; sharing it between calls
+    copies each outer subformula into `dst` once per polarity.
+    """
     if not influence.straddles(node, scope_index - 1):
         raise InternalError(
             f"node {node} is not on the incoming interface of block "
@@ -65,25 +71,37 @@ def _condition_into(problem: QbfProblem, influence: InfluenceMap, node: int,
             if problem.var_scope[abs(lit)] < scope_index:
                 pieces.append(dst.lit(-lit if negated else lit))
         elif influence.max_scope[child] < scope_index:
-            pieces.append(copy_into(dst, arena, child, negated))
+            pieces.append(copy_into(dst, arena, child, negated, copies))
     return dst.build(out_kind, pieces)
 
 
 def _encode_formula(circuit: Circuit, arena: Arena, node: int,
-                    var_lit: dict[int, int]) -> int:
-    """Encode an NNF formula into the circuit, substituting variables."""
+                    var_lit: dict[int, int], encoded: dict[int, int]) -> int:
+    """Encode an NNF formula into the circuit, substituting variables.
+
+    `encoded` maps nodes of `arena` already encoded to their circuit
+    literal. Reusing it across calls is sound as long as no entry of
+    `var_lit` that an encoded node reads is changed afterwards.
+    """
+    out = encoded.get(node)
+    if out is not None:
+        return out
     kind = arena.kinds[node]
     if kind == LIT:
         lit = arena.payload[node]
         base = var_lit[abs(lit)]
-        return base if lit > 0 else aig_not(base)
-    if kind in (AND, OR):
-        child_lits = [_encode_formula(circuit, arena, c, var_lit)
+        out = base if lit > 0 else aig_not(base)
+    elif kind in (AND, OR):
+        child_lits = [_encode_formula(circuit, arena, c, var_lit, encoded)
                       for c in arena.payload[node]]
         if kind == AND:
-            return circuit.and_many(child_lits)
-        return circuit.or_many(child_lits)
-    return TRUE_LIT if kind == TRUE else FALSE_LIT
+            out = circuit.and_many(child_lits)
+        else:
+            out = circuit.or_many(child_lits)
+    else:
+        out = TRUE_LIT if kind == TRUE else FALSE_LIT
+    encoded[node] = out
+    return out
 
 
 def extract_functions(problem: QbfProblem, trace: ProofTrace, value: bool, *,
@@ -114,19 +132,32 @@ def extract_functions(problem: QbfProblem, trace: ProofTrace, value: bool, *,
     strategy: dict[int, int] = {}
     if problem.matrix_constant() is None:
         influence = compute_influence(problem)
+        # Grant conditions at block k read only variables of blocks before k,
+        # whose entries in var_lit are final by then, so one scratch arena
+        # and its memos serve every block.
         scratch = Arena()
+        copies: dict = {}
+        encoded: dict[int, int] = {}
+        condition: dict[tuple[int, int], int] = {}  # (node, block) -> literal
+
+        def condition_lit(n: int, k: int) -> int:
+            lit = condition.get((n, k))
+            if lit is None:
+                lit = _encode_formula(
+                    circuit, scratch,
+                    _condition_into(problem, influence, n, k, scratch, copies),
+                    var_lit, encoded)
+                condition[n, k] = lit
+            return lit
+
         for k, scope in enumerate(problem.prefix, start=1):
             if scope.quantifier is not func_q:
                 continue
             fires: list[tuple[ProofPair, int]] = []
             earlier = FALSE_LIT
             for pair in trace.for_scope(k):
-                guard = circuit.and_many(
-                    _encode_formula(
-                        circuit, scratch,
-                        _condition_into(problem, influence, n, k, scratch),
-                        var_lit)
-                    for n in sorted(pair.nodes))
+                guard = circuit.and_many(condition_lit(n, k)
+                                         for n in sorted(pair.nodes))
                 fires.append((pair, circuit.and_(guard, aig_not(earlier))))
                 earlier = circuit.or_(earlier, guard)
             for v in scope.vars:

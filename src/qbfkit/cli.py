@@ -2,8 +2,9 @@
 
 Exit codes follow the QBF-evaluation convention: 10 means the problem is
 true, 20 false, 0 is success without a truth verdict (verify/convert/bench),
-1 a usage, I/O or parse error, 2 a failed certificate check, and 3 an
-internal invariant violation.
+1 a usage, I/O or parse error, 2 a failed certificate check, 3 an
+internal invariant violation, and 4 an input too deep or too large to
+handle (Python's recursion limit or memory ran out).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+EXIT_RESOURCE = 4
 
 log = logging.getLogger("qbfkit")
 
@@ -258,6 +260,13 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit reached)",
+              file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

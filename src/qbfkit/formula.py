@@ -32,9 +32,11 @@ class Quantifier(Enum):
 class Arena:
     """Append-only store of NNF nodes.
 
-    Every occurrence of a subformula gets its own slot: the matrix is a tree,
-    not a DAG, so positional identity is stable under negation and per-scope
-    encoding. Constants may exist in the arena but `build` folds them away, so
+    The matrix is a DAG: a node may be the child of several parents, as a
+    QCIR gate shared by name stays one node. Structurally equal subformulas
+    built separately are not merged; they stay distinct nodes. A node's
+    children always exist before it, so ascending ids are a topological
+    order. Constants may exist in the arena but `build` folds them away, so
     they never remain inside a normalized matrix.
     """
 
@@ -116,13 +118,11 @@ class Arena:
         return self._add(kind, tuple(kept), shape)
 
     def negated(self, node: int) -> int:
-        """Build the NNF negation of `node` as fresh nodes (De Morgan)."""
-        kind = self.kinds[node]
-        if kind == LIT:
-            return self.lit(-self.payload[node])
-        if kind in (TRUE, FALSE):
-            return self.const(kind == FALSE)
-        return self.build(_DUAL[kind], [self.negated(c) for c in self.payload[node]])
+        """Build the NNF negation of `node` as fresh nodes (De Morgan).
+
+        Each node below `node` is negated once, so shared nodes stay shared.
+        """
+        return copy_into(self, self, node, True)
 
 
 def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int) -> bool:
@@ -144,28 +144,51 @@ def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int) -> bool:
     return all(structural_equal(arena_a, x, arena_b, y) for x, y in zip(ca, cb))
 
 
-def copy_into(dst: Arena, src: Arena, node: int, negate: bool = False) -> int:
-    """Copy a subtree into another arena, optionally negating it."""
+def copy_into(dst: Arena, src: Arena, node: int, negate: bool = False,
+              memo: dict | None = None) -> int:
+    """Copy a subformula into another arena, optionally negating it.
+
+    Each source node is copied once per polarity, so shared nodes stay
+    shared. `memo` maps `(source node, negate)` to the copy; passing the
+    same dict to several calls into one `dst` shares their copies too.
+    """
+    if memo is None:
+        memo = {}
+    out = memo.get((node, negate))
+    if out is not None:
+        return out
     kind = src.kinds[node]
     if kind == LIT:
         lit = src.payload[node]
-        return dst.lit(-lit if negate else lit)
-    if kind in (TRUE, FALSE):
-        return dst.const((kind == TRUE) != negate)
-    out_kind = _DUAL[kind] if negate else kind
-    return dst.build(out_kind, [copy_into(dst, src, c, negate) for c in src.payload[node]])
+        out = dst.lit(-lit if negate else lit)
+    elif kind in (TRUE, FALSE):
+        out = dst.const((kind == TRUE) != negate)
+    else:
+        out = dst.build(_DUAL[kind] if negate else kind,
+                        [copy_into(dst, src, c, negate, memo)
+                         for c in src.payload[node]])
+    memo[node, negate] = out
+    return out
 
 
 def subformulas(arena: Arena, node: int) -> list[int]:
-    """All subformula occurrences of `node`, in deterministic preorder."""
-    out: list[int] = []
+    """The distinct nodes reachable from `node`, in preorder of first visits."""
+    kinds, payload = arena.kinds, arena.payload
+    seen: dict[int, None] = {}  # insertion-ordered set
     stack = [node]
     while stack:
         n = stack.pop()
-        out.append(n)
-        if arena.kinds[n] in (AND, OR):
-            stack.extend(reversed(arena.payload[n]))
-    return out
+        if n in seen:
+            continue
+        seen[n] = None
+        if kinds[n] != LIT:  # constants have no children
+            stack.extend(reversed(payload[n]))
+    return list(seen)
+
+
+def topological(arena: Arena, node: int) -> list[int]:
+    """The distinct nodes reachable from `node`, children before parents."""
+    return sorted(subformulas(arena, node))
 
 
 def direct_subformulas(arena: Arena, node: int) -> tuple[int, ...]:
@@ -173,39 +196,33 @@ def direct_subformulas(arena: Arena, node: int) -> tuple[int, ...]:
 
 
 def node_vars(arena: Arena, node: int) -> set[int]:
-    """Variables occurring in the subtree rooted at `node`."""
-    out: set[int] = set()
-    for n in subformulas(arena, node):
-        if arena.kinds[n] == LIT:
-            out.add(abs(arena.payload[n]))
-    return out
+    """Variables occurring in the subformula rooted at `node`."""
+    kinds, payload = arena.kinds, arena.payload
+    return {abs(payload[n]) for n in subformulas(arena, node) if kinds[n] == LIT}
 
 
 def evaluate(arena: Arena, node: int, values) -> int:
     """Evaluate under a total assignment (mapping var -> 0/1).
 
-    Raises ValueError when a variable of the subtree is unassigned.
+    Raises ValueError when a variable of the subformula is unassigned.
     """
-    kind = arena.kinds[node]
-    if kind == TRUE:
-        return 1
-    if kind == FALSE:
-        return 0
-    if kind == LIT:
-        lit = arena.payload[node]
-        val = values.get(abs(lit))
-        if val is None:
-            raise ValueError(f"variable {abs(lit)} is unassigned")
-        return int(bool(val)) if lit > 0 else 1 - int(bool(val))
-    if kind == AND:
-        result = 1
-        for c in arena.payload[node]:
-            result &= evaluate(arena, c, values)
-        return result
-    result = 0
-    for c in arena.payload[node]:
-        result |= evaluate(arena, c, values)
-    return result
+    kinds, payload = arena.kinds, arena.payload
+    value: dict[int, int] = {}
+    for n in topological(arena, node):
+        kind = kinds[n]
+        if kind == LIT:
+            lit = payload[n]
+            val = values.get(abs(lit))
+            if val is None:
+                raise ValueError(f"variable {abs(lit)} is unassigned")
+            value[n] = int(bool(val)) if lit > 0 else 1 - int(bool(val))
+        elif kind == AND:
+            value[n] = int(all(value[c] for c in payload[n]))
+        elif kind == OR:
+            value[n] = int(any(value[c] for c in payload[n]))
+        else:
+            value[n] = int(kind == TRUE)
+    return value[node]
 
 
 @dataclass
@@ -375,18 +392,25 @@ def problems_equal(a: QbfProblem, b: QbfProblem) -> bool:
         if tuple(a.var_names[v] for v in sa.vars) != tuple(b.var_names[v] for v in sb.vars):
             return False
 
+    equal: dict[tuple[int, int], bool] = {}  # each node pair compared once
+
     def eq(na: int, nb: int) -> bool:
+        known = equal.get((na, nb))
+        if known is not None:
+            return known
         ka, kb = a.arena.kinds[na], b.arena.kinds[nb]
         if ka != kb:
-            return False
-        if ka == LIT:
+            result = False
+        elif ka == LIT:
             la, lb = a.arena.payload[na], b.arena.payload[nb]
-            if (la > 0) != (lb > 0):
-                return False
-            return a.var_names[abs(la)] == b.var_names[abs(lb)]
-        if ka in (TRUE, FALSE):
-            return True
-        ca, cb = a.arena.payload[na], b.arena.payload[nb]
-        return len(ca) == len(cb) and all(eq(x, y) for x, y in zip(ca, cb))
+            result = ((la > 0) == (lb > 0)
+                      and a.var_names[abs(la)] == b.var_names[abs(lb)])
+        elif ka in (TRUE, FALSE):
+            result = True
+        else:
+            ca, cb = a.arena.payload[na], b.arena.payload[nb]
+            result = len(ca) == len(cb) and all(eq(x, y) for x, y in zip(ca, cb))
+        equal[na, nb] = result
+        return result
 
     return eq(a.matrix, b.matrix)

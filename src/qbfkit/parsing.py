@@ -2,10 +2,14 @@
 
 Parsing produces a closed prenex NNF `QbfProblem`:
 
-* gate definitions are expanded into the formula tree with polarity pushed
-  down to the leaves (`xor` and `ite` are rewritten into and/or form),
+* gate definitions are expanded into NNF with polarity pushed down to the
+  leaves (`xor` and `ite` are rewritten into and/or form); a gate is
+  expanded once per polarity, so a gate used several times stays one node
+  per polarity,
 * gate quantifiers (non-prenex input) are hoisted to the end of the prefix in
-  depth-first order, with bound variables renamed apart per occurrence,
+  depth-first order, with bound variables renamed apart per occurrence; a
+  gate that hoists a quantifier, or is used where a gate quantifier binds a
+  name, is expanded afresh at each use instead,
 * free variables - declared via `free(...)` or simply never quantified - are
   closed under an outermost existential block,
 * adjacent blocks with the same quantifier are merged.
@@ -63,6 +67,7 @@ class _QcirReader:
         self.output_line = 0
         self.bound: dict[str, int] = {}  # gate-quantifier bindings in scope
         self.expanding: set[str] = set()
+        self.expanded: dict[tuple[str, bool], int] = {}  # (gate, negate) -> node
         self.used_names: set[str] = set()
 
     # -- variable allocation -------------------------------------------
@@ -185,16 +190,27 @@ class _QcirReader:
         return self.arena.lit(-v if negate else v)
 
     def _expand_gate(self, name: str, negate: bool) -> int:
+        # Outside every gate quantifier a gate's expansion depends only on
+        # the gate and the polarity, unless it hoists a quantifier of its own
+        # (whose variables are renamed apart per occurrence).
+        shareable = not self.bound
+        if shareable:
+            node = self.expanded.get((name, negate))
+            if node is not None:
+                return node
         if name in self.expanding:
             line = self.gates[name][2]
             raise ParseError(f"line {line}: gate {name!r} is defined cyclically")
         op, args, _, number = self.gates[name]
+        hoisted = len(self.hoisted)
         self.expanding.add(name)
         try:
             node = self._expand_body(op, args, negate)
         finally:
             self.expanding.discard(name)
         self.node_gate.setdefault(node, number)
+        if shareable and len(self.hoisted) == hoisted:
+            self.expanded[name, negate] = node
         return node
 
     def _expand_body(self, op, args, negate: bool) -> int:

@@ -32,23 +32,36 @@ class PreprocessInfo:
     rounds: int = 0
 
 
-def _rebuild(dst: Arena, src: Arena, node: int, subst: dict[int, bool]) -> int:
-    """Copy a subtree applying a substitution; fold constants and clashes."""
+def _rebuild(dst: Arena, src: Arena, node: int, subst: dict[int, bool],
+             memo: dict[int, int]) -> int:
+    """Copy a subformula applying a substitution; fold constants and clashes.
+
+    `memo` maps each source node already copied to its copy, so a shared
+    node is rebuilt once.
+    """
+    out = memo.get(node)
+    if out is not None:
+        return out
     kind = src.kinds[node]
     if kind == LIT:
         lit = src.payload[node]
         value = subst.get(abs(lit))
         if value is None:
-            return dst.lit(lit)
-        return dst.const(value if lit > 0 else not value)
-    if kind in (TRUE, FALSE):
-        return dst.const(kind == TRUE)
-    out = dst.build(kind, [_rebuild(dst, src, c, subst) for c in src.payload[node]])
-    out_kind = dst.kinds[out]
-    if out_kind in (AND, OR):
-        lits = {dst.payload[c] for c in dst.payload[out] if dst.kinds[c] == LIT}
-        if any(-l in lits for l in lits):
-            return dst.const(out_kind == OR)
+            out = dst.lit(lit)
+        else:
+            out = dst.const(value if lit > 0 else not value)
+    elif kind in (TRUE, FALSE):
+        out = dst.const(kind == TRUE)
+    else:
+        out = dst.build(kind, [_rebuild(dst, src, c, subst, memo)
+                               for c in src.payload[node]])
+        out_kind = dst.kinds[out]
+        if out_kind in (AND, OR):
+            lits = {dst.payload[c] for c in dst.payload[out]
+                    if dst.kinds[c] == LIT}
+            if any(-l in lits for l in lits):
+                out = dst.const(out_kind == OR)
+    memo[node] = out
     return out
 
 
@@ -82,11 +95,13 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
     info = PreprocessInfo()
     quantifier = {v: problem.quantifier_of(v) for v in problem.all_vars()}
     src, matrix = problem.arena, problem.matrix
+    rounds: list[dict[int, int]] = []  # per round: source node -> its copy
     subst: dict[int, bool] = {}
     while True:
         info.rounds += 1
         dst = Arena()
-        matrix = _rebuild(dst, src, matrix, subst)
+        rounds.append({})
+        matrix = _rebuild(dst, src, matrix, subst, rounds[-1])
         src = dst
         if src.kinds[matrix] in (TRUE, FALSE):
             break
@@ -117,5 +132,22 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
         Scope(s.quantifier, tuple(v for v in s.vars if v not in info.eliminated))
         for s in problem.prefix)
     names = {v: problem.var_names[v] for v in quantifier if v not in info.eliminated}
-    reduced = QbfProblem.make(src, prefix, matrix, names)
+    node_gate = {}
+    if src.kinds[matrix] not in (TRUE, FALSE):
+        node_gate = _carry_gates(problem.node_gate, rounds)
+    reduced = QbfProblem.make(src, prefix, matrix, names, node_gate)
     return reduced, info
+
+
+def _carry_gates(node_gate: dict[int, int],
+                 rounds: list[dict[int, int]]) -> dict[int, int]:
+    """Gate provenance of the rebuilt nodes; the first gate per node wins."""
+    out: dict[int, int] = {}
+    for node, gate in node_gate.items():
+        for copies in rounds:
+            node = copies.get(node)
+            if node is None:
+                break
+        else:
+            out.setdefault(node, gate)
+    return out

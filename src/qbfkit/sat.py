@@ -393,12 +393,22 @@ class Solver:
 
 def encode_nnf(solver: Solver, arena: Arena, node: int,
                var_map: dict[int, int], negate: bool = False) -> int:
-    """Encode an NNF subtree one-sidedly; the returned literal implies it.
+    """Encode an NNF subformula one-sidedly; the returned literal implies it.
 
     `var_map` maps formula variables to solver variables and is extended on
     demand; entries may also be preset to arbitrary solver literals, which is
-    how certificate functions are substituted for variables.
+    how certificate functions are substituted for variables. Each node gets
+    one gate variable, however many parents it has.
     """
+    return _encode(solver, arena, node, var_map, negate, {})
+
+
+def _encode(solver: Solver, arena: Arena, node: int, var_map: dict[int, int],
+            negate: bool, gate_of: dict[int, int]) -> int:
+    """`encode_nnf` below `node`; `gate_of` holds the nodes already encoded."""
+    out = gate_of.get(node)
+    if out is not None:
+        return out
     kind = arena.kinds[node]
     if kind == LIT:
         lit = arena.payload[node]
@@ -409,17 +419,19 @@ def encode_nnf(solver: Solver, arena: Arena, node: int,
         if mapped is None:
             mapped = solver.fresh_var()
             var_map[v] = mapped
-        return mapped if lit > 0 else -mapped
-    if kind in (TRUE, FALSE):
+        out = mapped if lit > 0 else -mapped
+    elif kind in (TRUE, FALSE):
         t = solver.true_lit()
-        return t if (kind == TRUE) != negate else -t
-    out_kind = kind if not negate else (OR if kind == AND else AND)
-    child_lits = [encode_nnf(solver, arena, c, var_map, negate)
-                  for c in arena.payload[node]]
-    gate = solver.fresh_var()
-    if out_kind == AND:
-        for cl in child_lits:
-            solver.add_clause([-gate, cl])
+        out = t if (kind == TRUE) != negate else -t
     else:
-        solver.add_clause([-gate] + child_lits)
-    return gate
+        out_kind = kind if not negate else (OR if kind == AND else AND)
+        child_lits = [_encode(solver, arena, c, var_map, negate, gate_of)
+                      for c in arena.payload[node]]
+        out = solver.fresh_var()
+        if out_kind == AND:
+            for cl in child_lits:
+                solver.add_clause([-out, cl])
+        else:
+            solver.add_clause([-out] + child_lits)
+    gate_of[node] = out
+    return out

@@ -1,0 +1,216 @@
+"""Gates shared by name in QCIR stay one node from parsing to verification."""
+
+import random
+import time
+
+from qbfkit.certify import build_certificate, read_trace, verify
+from qbfkit.formula import AND, OR, problems_equal, subformulas
+from qbfkit.parsing import parse_qcir
+from qbfkit.preprocess import PreprocessInfo, preprocess
+from qbfkit.solver import solve_abstraction, solve_assignment
+
+import qbfkit.cli as cli
+
+from helpers import brute_force
+
+
+def xor_chain(n: int) -> str:
+    """exists x1..xn forall z: z equals the parity of X (false).
+
+    Each gate ``p_i = xor(p_{i-1}, x_i)`` uses the previous gate in both
+    polarities, so expanding every use separately doubles at each level.
+    """
+    lines = ["#QCIR-G14",
+             "exists(" + ", ".join(f"x{i}" for i in range(1, n + 1)) + ")",
+             "forall(z)",
+             "output(m)"]
+    prev = "x1"
+    for i in range(2, n + 1):
+        lines.append(f"p{i} = xor({prev}, x{i})")
+        prev = f"p{i}"
+    lines += [f"a = or(z, {prev})", f"b = or(-z, -{prev})", "m = and(a, b)"]
+    return "\n".join(lines) + "\n"
+
+
+def random_shared_qcir(rng):
+    """A random QCIR text whose gates reuse recently defined gates.
+
+    Returns the text, the number of gates, and the truth value computed
+    straight from the gate definitions, without qbfkit.
+    """
+    names = [f"v{i}" for i in range(1, rng.randint(2, 9) + 1)]
+    order = names[:]
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        take = rng.randint(1, len(order))
+        blocks.append((rng.choice(("exists", "forall")), order[:take]))
+        order = order[take:]
+    gates = []
+    for i in range(rng.randint(1, 10)):
+        op = rng.choice(("and", "or", "xor"))
+        args = []
+        for _ in range(2 if op == "xor" else rng.randint(2, 3)):
+            if gates and rng.random() < 0.6:
+                source = rng.choice(gates[-3:])[0]
+            else:
+                source = rng.choice(names)
+            args.append((source, rng.random() < 0.4))
+        gates.append((f"g{i}", op, args))
+    out, out_neg = gates[-1][0], rng.random() < 0.3
+
+    lines = ["#QCIR-G14"]
+    lines += [f"{q}({', '.join(vs)})" for q, vs in blocks]
+    lines.append(f"output({'-' if out_neg else ''}{out})")
+    for name, op, args in gates:
+        rendered = ", ".join(("-" if neg else "") + a for a, neg in args)
+        lines.append(f"{name} = {op}({rendered})")
+
+    def matrix(values):
+        val = dict(values)
+        for name, op, args in gates:
+            bits = [val[a] != neg for a, neg in args]
+            if op == "and":
+                val[name] = all(bits)
+            elif op == "or":
+                val[name] = any(bits)
+            else:
+                val[name] = bits[0] != bits[1]
+        return val[out] != out_neg
+
+    quantified = [(q, v) for q, vs in blocks for v in vs]
+
+    def truth(index, values):
+        if index == len(quantified):
+            return matrix(values)
+        q, v = quantified[index]
+        outcomes = (truth(index + 1, {**values, v: bit}) for bit in (False, True))
+        return any(outcomes) if q == "exists" else all(outcomes)
+
+    return "\n".join(lines) + "\n", len(gates), truth(0, {})
+
+
+def has_shared_node(problem) -> bool:
+    arena = problem.arena
+    reachable = subformulas(arena, problem.matrix)
+    edges = sum(len(arena.payload[n]) for n in reachable
+                if arena.kinds[n] in (AND, OR))
+    return edges > len(reachable) - 1
+
+
+def test_random_shared_gates_agree_with_oracles():
+    rng = random.Random(20261017)
+    outcomes = set()
+    shared = 0
+    for _ in range(300):
+        text, ngates, expected = random_shared_qcir(rng)
+        problem = parse_qcir(text)
+        # at most two polarities of an or-of-ands with fresh leaves per gate
+        assert len(problem.arena) <= 14 * ngates, text
+        assert brute_force(problem) == expected, text
+        shared += has_shared_node(problem)
+        for reduce in (False, True):
+            if reduce:
+                reduced, info = preprocess(problem)
+            else:
+                reduced, info = problem, PreprocessInfo()
+            value, trace, _ = solve_abstraction(reduced)
+            assert value == expected, (reduce, text)
+            assert solve_assignment(reduced)[0] == expected, (reduce, text)
+            circuit = build_certificate(problem, reduced, info.eliminated,
+                                        trace, value)
+            result = verify(problem, circuit)
+            assert result.valid, (reduce, result, text)
+        outcomes.add(expected)
+    assert outcomes == {False, True}
+    assert shared >= 100
+
+
+def test_xor_chain_of_forty_levels_stays_linear():
+    start = time.perf_counter()
+    problem = parse_qcir(xor_chain(40))
+    assert len(problem.arena) < 500
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    circuit = build_certificate(problem, reduced, info.eliminated, trace, value)
+    assert value is False
+    assert verify(problem, circuit).valid
+    assert time.perf_counter() - start < 2.0
+
+
+SHADOWED = """\
+#QCIR-G14
+exists(x, y)
+output(top)
+g = or(x, y)
+q = forall(x; g)
+top = and({first}, {second})
+"""
+
+SHADOWED_UNSHARED = """\
+#QCIR-G14
+exists(x, y)
+output(top)
+g1 = or(x, y)
+g2 = or(x, y)
+q = forall(x; g2)
+top = and({first}, {second})
+"""
+
+
+def test_gate_under_a_shadowing_quantifier_is_expanded_apart():
+    for first, second in (("g", "q"), ("q", "g")):
+        problem = parse_qcir(SHADOWED.format(first=first, second=second))
+        arena = problem.arena
+        left, right = arena.payload[problem.matrix]
+        assert arena.kinds[left] == arena.kinds[right] == OR
+        names = [{problem.var_names[abs(arena.payload[c])]
+                  for c in arena.payload[n]} for n in (left, right)]
+        assert sorted(map(sorted, names)) == [["x", "y"], ["x_1", "y"]]
+        unshared = SHADOWED_UNSHARED.format(
+            first="g1" if first == "g" else first,
+            second="g1" if second == "g" else second)
+        assert problems_equal(problem, parse_qcir(unshared))
+
+
+def test_gate_hoisting_a_quantifier_is_renamed_apart_per_use():
+    shared = parse_qcir("#QCIR-G14\nexists(x)\noutput(top)\n"
+                        "h = xor(w, x)\nq = forall(w; h)\ntop = or(q, -q)\n")
+    unshared = parse_qcir("#QCIR-G14\nexists(x)\noutput(top)\n"
+                          "h1 = xor(w, x)\nh2 = xor(w, x)\n"
+                          "q1 = forall(w; h1)\nq2 = forall(w; h2)\n"
+                          "top = or(q1, -q2)\n")
+    assert problems_equal(shared, unshared)
+    assert sorted(shared.var_names.values()) == ["w", "w_1", "x"]
+
+
+def test_certify_trace_names_gates_of_the_reduced_arena(tmp_path, capsys):
+    source = tmp_path / "chain.qcir"
+    source.write_text(xor_chain(6))
+    trace_path = tmp_path / "chain.trace"
+    code = cli.main(["certify", str(source), "-o", str(tmp_path / "c.aag"),
+                     "--trace", str(trace_path)])
+    capsys.readouterr()
+    assert code == 20
+    reduced, _ = preprocess(parse_qcir(xor_chain(6)))
+    text = trace_path.read_text()
+    g_lines = [line.split() for line in text.splitlines()
+               if line.startswith("g ")]
+    assert g_lines
+    assert {(int(n), int(g)) for _, n, g in g_lines} == \
+        set(reduced.node_gate.items())
+    for _, node, gate in g_lines:
+        assert 0 <= int(node) < len(reduced.arena)
+        assert 1 <= int(gate) <= 8  # p2..p6, a, b, m
+    assert read_trace(text).pairs
+
+
+def test_deep_gate_chain_exits_cleanly(tmp_path, capsys):
+    source = tmp_path / "deep.qcir"
+    source.write_text(xor_chain(3000))
+    code = cli.main(["solve", str(source)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_RESOURCE
+    assert "error:" in err
+    assert "Traceback" not in err
+
