@@ -102,22 +102,19 @@ class ScopeAbstraction:
     """The claim/challenger SAT pair of one quantifier block."""
 
     def __init__(self, problem: QbfProblem, scope_index: int,
-                 influence: InfluenceMap, incoming, exposed, seed: int = 0):
+                 influence: InfluenceMap, incoming, exposed):
         self.problem = problem
         self.scope_index = scope_index
         self.quantifier = problem.prefix[scope_index - 1].quantifier
         self.influence = influence
         self.incoming = tuple(incoming)  # nodes granted by outer blocks
         self.exposed = tuple(exposed)  # nodes this block may delegate inward
-        self.theta = Solver(seed)
-        self.dual = Solver(seed)
-        self.theta_clauses: list[tuple[int, ...]] = []
-        self.dual_clauses: list[tuple[int, ...]] = []
+        self.theta = Solver()
+        self.dual = Solver()
         self.x_var: dict[int, int] = {}
         self.outer_sat: dict[int, int] = {}
         self.claim: dict[int, int] = {}
         self.refinement_count = 0
-        self.dual_refinement_count = 0
         self._exposed_set = set(self.exposed)
         self._neg_claim_occ: dict[int, list[tuple[int, ...]]] | None = None
 
@@ -128,17 +125,16 @@ class ScopeAbstraction:
         for n in self.exposed:
             self._claim_var(n)
         negated = self.quantifier is Quantifier.FORALL
-        self._emit(negated, self.theta, self.theta_clauses)
-        self._emit(not negated, self.dual, self.dual_clauses)
+        self._emit(negated, self.theta)
+        self._emit(not negated, self.dual)
 
     @classmethod
     def build(cls, problem: QbfProblem, scope_index: int,
-              influence: InfluenceMap | None = None,
-              seed: int = 0) -> "ScopeAbstraction":
+              influence: InfluenceMap | None = None) -> "ScopeAbstraction":
         influence = influence or compute_influence(problem)
         incoming = boundary_interface(problem, influence, scope_index - 1)
         exposed = boundary_interface(problem, influence, scope_index)
-        return cls(problem, scope_index, influence, incoming, exposed, seed)
+        return cls(problem, scope_index, influence, incoming, exposed)
 
     # ------------------------------------------------------------------
     # variable management (both solvers allocate in lockstep)
@@ -160,8 +156,7 @@ class ScopeAbstraction:
     # ------------------------------------------------------------------
     # encoding
 
-    def _emit(self, negated: bool, solver: Solver,
-              sink: list[tuple[int, ...]]) -> None:
+    def _emit(self, negated: bool, solver: Solver) -> None:
         problem, k = self.problem, self.scope_index
         arena = problem.arena
         kinds, payload = arena.kinds, arena.payload
@@ -195,7 +190,6 @@ class ScopeAbstraction:
             if key in seen:
                 return
             seen.add(key)
-            sink.append(tuple(lits))
             solver.add_clause(lits)
 
         needed: list[int] = []
@@ -333,7 +327,7 @@ class ScopeAbstraction:
         model = list(model)
         if self._neg_claim_occ is None:
             occ: dict[int, list[tuple[int, ...]]] = {sv: [] for sv in self.claim.values()}
-            for clause in self.theta_clauses:
+            for clause in self.theta.db:
                 for lit in clause:
                     if lit < 0 and -lit in occ:
                         occ[-lit].append(clause)
@@ -354,7 +348,7 @@ class ScopeAbstraction:
                        for cl in self._neg_claim_occ[sv]):
                     model[sv] = 1
                     changed = True
-        for clause in self.theta_clauses:
+        for clause in self.theta.db:
             if not any(satisfied(l) for l in clause):
                 raise InternalError("claim maximization broke a clause")
         return model
@@ -371,9 +365,7 @@ class ScopeAbstraction:
         if self.refinement_count >= 2 ** len(self.exposed):
             raise InternalError(
                 f"block {self.scope_index} exceeded its refinement budget")
-        clause = tuple(self.claim[n] for n in nodes)
-        self.theta_clauses.append(clause)
-        self.theta.add_clause(clause)
+        self.theta.add_clause(self.claim[n] for n in nodes)
         self.refinement_count += 1
 
     def refine_dual(self, witness: dict[int, bool]) -> None:
@@ -387,11 +379,8 @@ class ScopeAbstraction:
         bad = [n for n in witness if n not in self._exposed_set]
         if bad:
             raise InternalError(f"refinement names non-interface nodes {bad}")
-        clause = tuple(self.claim[n] for n in sorted(witness)
-                       if not witness[n])
-        self.dual_clauses.append(clause)
-        self.dual.add_clause(clause)
-        self.dual_refinement_count += 1
+        self.dual.add_clause(self.claim[n] for n in sorted(witness)
+                             if not witness[n])
 
     # ------------------------------------------------------------------
     # introspection
@@ -415,10 +404,10 @@ class ScopeAbstraction:
             for clause in clauses)
 
     def symbolic_theta(self) -> frozenset:
-        return self.symbolic(self.theta_clauses)
+        return self.symbolic(self.theta.db)
 
     def symbolic_dual(self) -> frozenset:
-        return self.symbolic(self.dual_clauses)
+        return self.symbolic(self.dual.db)
 
     def legend(self) -> dict[int, str]:
         names = self.problem.var_names

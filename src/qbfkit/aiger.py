@@ -160,7 +160,6 @@ def read_aiger(text: str) -> Circuit:
         lit = _aiger_int(body[i])
         if lit != 2 * (i + 1):
             raise ParseError(f"input {i} has unexpected literal {lit}")
-        circuit.add_input(f"i{i}")  # placeholder until the symbol table
     out_lits = [_aiger_int(body[nin + i]) for i in range(nout)]
     defined = nin
     for i in range(nand):
@@ -178,6 +177,7 @@ def read_aiger(text: str) -> Circuit:
         if lit // 2 > maxvar:
             raise ParseError(f"output literal {lit} is out of range")
 
+    in_names = [f"i{i}" for i in range(nin)]  # unless the symbol table names them
     out_names = [f"o{i}" for i in range(nout)]
     rest = body[nin + nout + nand:]
     comment_at = None
@@ -192,15 +192,15 @@ def read_aiger(text: str) -> Circuit:
         if tag[0] == "i":
             if index >= nin:
                 raise ParseError(f"symbol for unknown input: {line!r}")
-            old = circuit.inputs[index]
-            if name != old and name in circuit._input_lit:
-                raise ParseError(f"duplicate input name {name!r}")
-            circuit.inputs[index] = name
-            circuit._input_lit[name] = circuit._input_lit.pop(old)
+            in_names[index] = name
         else:
             if index >= nout:
                 raise ParseError(f"symbol for unknown output: {line!r}")
             out_names[index] = name
+    for name in in_names:
+        if name in circuit._input_lit:
+            raise ParseError(f"duplicate input name {name!r}")
+        circuit.add_input(name)
     circuit.outputs = list(zip(out_names, out_lits))
     if comment_at is not None:
         comment = [ln for ln in rest[comment_at + 1:] if ln.strip()]

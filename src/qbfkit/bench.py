@@ -155,8 +155,9 @@ def standard_instances(max_n: int = 5, seed: int = 0):
     return out
 
 
-def run_experiment(instances, algorithms=("abstraction", "assignment")) -> str:
-    """Solve each (family, n, problem) with each algorithm; report CSV.
+def stats_csv(rows) -> str:
+    """CSV text: the header, then one line per (label, n, algorithm, value,
+    stats) row.
 
     The per-scope refinement counts are joined with ';' to stay one CSV
     field, outermost scope first.
@@ -164,17 +165,25 @@ def run_experiment(instances, algorithms=("abstraction", "assignment")) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
+    for label, n, algorithm, value, stats in rows:
+        writer.writerow([
+            label, n, algorithm, "TRUE" if value else "FALSE",
+            ";".join(str(r) for r in stats.refinements),
+            stats.total_iterations, f"{stats.wall_time:.6f}"])
+    return buf.getvalue()
+
+
+def run_experiment(instances, algorithms=("abstraction", "assignment")) -> str:
+    """Solve each (family, n, problem) with each algorithm; report CSV."""
+    config = SolveConfig(record_trace=False)
+    rows = []
     for family, n, problem in instances:
         for algorithm in algorithms:
-            config = SolveConfig(algorithm=algorithm, record_trace=False)
             if algorithm == "abstraction":
                 value, _, stats = solve_abstraction(problem, config)
             elif algorithm == "assignment":
                 value, stats = solve_assignment(problem, config)
             else:
                 raise ValueError(f"unknown algorithm {algorithm!r}")
-            writer.writerow([
-                family, n, algorithm, "TRUE" if value else "FALSE",
-                ";".join(str(r) for r in stats.refinements),
-                stats.total_iterations, f"{stats.wall_time:.6f}"])
-    return buf.getvalue()
+            rows.append((family, n, algorithm, value, stats))
+    return stats_csv(rows)

@@ -104,34 +104,33 @@ def _encode_formula(circuit: Circuit, arena: Arena, node: int,
     return out
 
 
-def extract_functions(problem: QbfProblem, trace: ProofTrace, value: bool, *,
-                      eliminated: dict[int, bool] | None = None,
-                      input_vars=None, output_vars=None,
-                      names: dict[int, str] | None = None) -> Circuit:
+def extract_functions(problem: QbfProblem, trace: ProofTrace,
+                      value: bool) -> Circuit:
+    """Build the winning side's strategy circuit from a proof trace of an
+    unpreprocessed problem."""
+    return build_certificate(problem, problem, {}, trace, value)
+
+
+def build_certificate(original: QbfProblem, reduced: QbfProblem,
+                      eliminated: dict[int, bool], trace: ProofTrace,
+                      value: bool) -> Circuit:
     """Build the winning side's strategy circuit from a proof trace.
 
-    By default the inputs and outputs follow the problem's own prefix; the
-    keyword arguments let a caller lay out the certificate for a larger
-    prefix (preprocessed-away variables become constant outputs valued per
-    ``eliminated``).
+    ``trace`` comes from solving ``reduced``, the preprocessed form of
+    ``original``. Inputs and outputs follow the original prefix: a variable
+    preprocessing eliminated becomes a constant output valued per
+    ``eliminated``.
     """
     func_q = Quantifier.EXISTS if value else Quantifier.FORALL
-    eliminated = eliminated or {}
-    names = names or problem.var_names
-    if input_vars is None:
-        input_vars = [v for v in problem.all_vars()
-                      if problem.quantifier_of(v) is not func_q]
-    if output_vars is None:
-        output_vars = [v for v in problem.all_vars()
-                       if problem.quantifier_of(v) is func_q]
-
+    names = original.var_names
     circuit = Circuit()
     circuit.kind = "skolem" if value else "herbrand"
-    var_lit = {v: circuit.add_input(names[v]) for v in input_vars}
+    var_lit = {v: circuit.add_input(names[v]) for v in original.all_vars()
+               if original.quantifier_of(v) is not func_q}
 
     strategy: dict[int, int] = {}
-    if problem.matrix_constant() is None:
-        influence = compute_influence(problem)
+    if reduced.matrix_constant() is None:
+        influence = compute_influence(reduced)
         # Grant conditions at block k read only variables of blocks before k,
         # whose entries in var_lit are final by then, so one scratch arena
         # and its memos serve every block.
@@ -145,12 +144,12 @@ def extract_functions(problem: QbfProblem, trace: ProofTrace, value: bool, *,
             if lit is None:
                 lit = _encode_formula(
                     circuit, scratch,
-                    _condition_into(problem, influence, n, k, scratch, copies),
+                    _condition_into(reduced, influence, n, k, scratch, copies),
                     var_lit, encoded)
                 condition[n, k] = lit
             return lit
 
-        for k, scope in enumerate(problem.prefix, start=1):
+        for k, scope in enumerate(reduced.prefix, start=1):
             if scope.quantifier is not func_q:
                 continue
             fires: list[tuple[ProofPair, int]] = []
@@ -165,7 +164,9 @@ def extract_functions(problem: QbfProblem, trace: ProofTrace, value: bool, *,
                     fire for pair, fire in fires if v in pair.true_vars)
                 var_lit[v] = strategy[v]
 
-    for v in output_vars:
+    for v in original.all_vars():
+        if original.quantifier_of(v) is not func_q:
+            continue
         if v in strategy:
             lit = strategy[v]
         elif v in eliminated:
@@ -174,20 +175,6 @@ def extract_functions(problem: QbfProblem, trace: ProofTrace, value: bool, *,
             lit = FALSE_LIT
         circuit.add_output(names[v], lit)
     return circuit
-
-
-def build_certificate(original: QbfProblem, reduced: QbfProblem,
-                      eliminated: dict[int, bool], trace: ProofTrace,
-                      value: bool) -> Circuit:
-    """Extraction laid out for the original prefix of a preprocessed problem."""
-    func_q = Quantifier.EXISTS if value else Quantifier.FORALL
-    return extract_functions(
-        reduced, trace, value, eliminated=eliminated,
-        input_vars=[v for v in original.all_vars()
-                    if original.quantifier_of(v) is not func_q],
-        output_vars=[v for v in original.all_vars()
-                     if original.quantifier_of(v) is func_q],
-        names=original.var_names)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import os
 import sys
 
 from .aiger import read_aiger, write_aiger
-from .bench import (CSV_HEADER, GenSpec, gen_expansion_hard, gen_qparity,
-                    gen_random, run_experiment)
+from .bench import (GenSpec, gen_expansion_hard, gen_qparity, gen_random,
+                    run_experiment, stats_csv)
 from .certify import build_certificate, verify, write_trace
 from .formula import InternalError
 from .parsing import ParseError, load_problem, write_qcir, write_qdimacs
@@ -34,12 +34,6 @@ EXIT_RESOURCE = 4
 log = logging.getLogger("qbfkit")
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("QBFKIT_SEED", "0"))
-
-
 def _reduce(problem, args):
     if args.no_preprocess:
         return problem, PreprocessInfo()
@@ -51,12 +45,10 @@ def _reduce(problem, args):
 
 def _write_stats(path: str, source: str, problem, algorithm: str,
                  value: bool, stats) -> None:
-    refinements = ";".join(str(r) for r in stats.refinements)
-    row = (f"{os.path.basename(source)},{len(problem.all_vars())},"
-           f"{algorithm},{'TRUE' if value else 'FALSE'},{refinements},"
-           f"{stats.total_iterations},{stats.wall_time:.6f}")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(CSV_HEADER + "\n" + row + "\n")
+        handle.write(stats_csv([(os.path.basename(source),
+                                 len(problem.all_vars()), algorithm, value,
+                                 stats)]))
 
 
 def _report(value: bool) -> int:
@@ -67,8 +59,7 @@ def _report(value: bool) -> int:
 def cmd_solve(args) -> int:
     problem = load_problem(args.file)
     reduced, _ = _reduce(problem, args)
-    config = SolveConfig(algorithm=args.algorithm, seed=_seed(args),
-                         record_trace=False)
+    config = SolveConfig(record_trace=False)
     if args.algorithm == "abstraction":
         value, _, stats = solve_abstraction(reduced, config)
     else:
@@ -84,8 +75,7 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     problem = load_problem(args.file)
     reduced, info = _reduce(problem, args)
-    value, trace, stats = solve_abstraction(
-        reduced, SolveConfig(seed=_seed(args)))
+    value, trace, stats = solve_abstraction(reduced)
     circuit = build_certificate(problem, reduced, info.eliminated, trace,
                                 value)
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -134,7 +124,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_bench(args) -> int:
     low, high = _parse_range(args.n)
-    seed = _seed(args)
+    seed = (args.seed if args.seed is not None
+            else int(os.environ.get("QBFKIT_SEED", "0")))
     instances = []
     for n in range(low, high + 1):
         if args.family == "qparity":
@@ -169,12 +160,6 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _add_seed(parser) -> None:
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="random seed (default: $QBFKIT_SEED if set, else 0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbfkit",
@@ -193,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the simplification pipeline")
     solve.add_argument("--stats", metavar="OUT.CSV", default=None,
                        help="write solver statistics as CSV (default: off)")
-    _add_seed(solve)
     solve.set_defaults(func=cmd_solve)
 
     certify = sub.add_parser(
@@ -208,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the simplification pipeline")
     certify.add_argument("--stats", metavar="OUT.CSV", default=None,
                          help="write solver statistics as CSV (default: off)")
-    _add_seed(certify)
     certify.set_defaults(func=cmd_certify)
 
     check = sub.add_parser(
@@ -229,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="algorithms to run (default: both)")
     bench.add_argument("--csv", metavar="OUT.CSV", default=None,
                        help="CSV output path (default: stdout)")
-    _add_seed(bench)
+    bench.add_argument(
+        "--seed", type=int, default=None, metavar="N",
+        help="seed of the random family (default: $QBFKIT_SEED if set, "
+             "else 0)")
     bench.set_defaults(func=cmd_bench)
 
     convert = sub.add_parser(

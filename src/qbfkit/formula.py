@@ -1,4 +1,4 @@
-"""NNF formula arena, prenex quantifier prefix, and assignment algebra."""
+"""NNF formula arena, prenex quantifier prefix, and problem structure."""
 
 from __future__ import annotations
 
@@ -125,8 +125,13 @@ class Arena:
         return copy_into(self, self, node, True)
 
 
-def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int) -> bool:
-    """Structural (shape and literal) equality, ignoring node identity."""
+def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int,
+                     memo: dict | None = None) -> bool:
+    """Structural (shape and literal) equality, ignoring node identity.
+
+    `memo` holds the node pairs already compared, so shared descendants are
+    compared once per pair, not once per path to them.
+    """
     if arena_a is arena_b and a == b:
         return True
     if arena_a.shape[a] != arena_b.shape[b]:
@@ -141,7 +146,13 @@ def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int) -> bool:
     ca, cb = arena_a.payload[a], arena_b.payload[b]
     if len(ca) != len(cb):
         return False
-    return all(structural_equal(arena_a, x, arena_b, y) for x, y in zip(ca, cb))
+    if memo is None:
+        memo = {}
+    known = memo.get((a, b))
+    if known is None:
+        known = memo[a, b] = all(structural_equal(arena_a, x, arena_b, y, memo)
+                                 for x, y in zip(ca, cb))
+    return known
 
 
 def copy_into(dst: Arena, src: Arena, node: int, negate: bool = False,
@@ -191,10 +202,6 @@ def topological(arena: Arena, node: int) -> list[int]:
     return sorted(subformulas(arena, node))
 
 
-def direct_subformulas(arena: Arena, node: int) -> tuple[int, ...]:
-    return arena.children(node)
-
-
 def node_vars(arena: Arena, node: int) -> set[int]:
     """Variables occurring in the subformula rooted at `node`."""
     kinds, payload = arena.kinds, arena.payload
@@ -223,71 +230,6 @@ def evaluate(arena: Arena, node: int, values) -> int:
         else:
             value[n] = int(kind == TRUE)
     return value[node]
-
-
-@dataclass
-class PartialAssignment:
-    """Three-valued assignment over a fixed variable domain.
-
-    Values are 0, 1, or None (undefined). The domain is the key set of
-    `values` and is fixed at construction.
-    """
-
-    values: dict[int, int | None]
-
-    @classmethod
-    def total(cls, mapping) -> "PartialAssignment":
-        return cls({v: int(bool(x)) for v, x in mapping.items()})
-
-    @classmethod
-    def undefined(cls, domain) -> "PartialAssignment":
-        return cls({v: None for v in domain})
-
-    @classmethod
-    def of(cls, domain, defined) -> "PartialAssignment":
-        vals: dict[int, int | None] = {v: None for v in domain}
-        for v, x in defined.items():
-            if v not in vals:
-                raise ValueError(f"variable {v} outside the domain")
-            vals[v] = int(bool(x))
-        return cls(vals)
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.values)
-
-    def __getitem__(self, var: int) -> int | None:
-        return self.values[var]
-
-    def defined_items(self) -> dict[int, int]:
-        return {v: x for v, x in self.values.items() if x is not None}
-
-    def true_vars(self) -> set[int]:
-        return {v for v, x in self.values.items() if x == 1}
-
-    def compatible_with(self, other: "PartialAssignment") -> bool:
-        """Whether self refines into `other`: same domain, defined entries agree."""
-        if self.domain != other.domain:
-            return False
-        return all(other.values[v] == x for v, x in self.values.items() if x is not None)
-
-    def combine(self, other: "PartialAssignment") -> "PartialAssignment":
-        """Union of two assignments over disjoint domains."""
-        if self.domain & other.domain:
-            raise ValueError("combine requires disjoint domains")
-        merged = dict(self.values)
-        merged.update(other.values)
-        return PartialAssignment(merged)
-
-    def complement(self) -> "PartialAssignment":
-        """Flip every defined value; undefined entries stay undefined."""
-        return PartialAssignment(
-            {v: (None if x is None else 1 - x) for v, x in self.values.items()}
-        )
-
-    def restrict(self, domain) -> "PartialAssignment":
-        dom = set(domain)
-        return PartialAssignment({v: x for v, x in self.values.items() if v in dom})
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from dataclasses import dataclass
 
 from .formula import AND, FALSE, LIT, OR, TRUE, Arena
@@ -41,10 +40,12 @@ class SolveResult:
 class Solver:
     """CDCL solver over signed integer literals (DIMACS convention)."""
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self) -> None:
         self.nvars = 0
         self.ok = True
-        self.db: list[tuple[int, ...]] = []  # every added clause, for dumps
+        # every added clause, in order; read by dumps and by the abstraction's
+        # claim maximization and symbolic views
+        self.db: list[tuple[int, ...]] = []
         self.watches: list[list[list[int]]] = [[], []]
         self.assign: list[int] = [_UNDEF]
         self.level: list[int] = [0]
@@ -58,11 +59,7 @@ class Solver:
         self.var_inc = 1.0
         self.conflicts = 0
         self.propagations = 0
-        self.solves = 0
         self._true_lit = 0
-        # reserved for randomized heuristics; unused at frequency 0 keeps
-        # results reproducible for any seed
-        self.rng = random.Random(seed)
 
     # ------------------------------------------------------------------
     # variables and clauses
@@ -301,7 +298,6 @@ class Solver:
 
     def solve(self, assumptions=()) -> SolveResult:
         """Solve under assumption literals; state persists across calls."""
-        self.solves += 1
         assumps = list(dict.fromkeys(assumptions))
         lits = set(assumps)
         for a in assumps:

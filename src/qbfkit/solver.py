@@ -57,8 +57,6 @@ class ProofTrace:
 
 @dataclass
 class SolveConfig:
-    algorithm: str = "abstraction"  # or "assignment"
-    seed: int = 0
     adjust: bool = True  # maximize claims before delegating inward
     shrink_cores: bool = False
     record_trace: bool = True
@@ -106,7 +104,7 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     def block_for(k: int) -> ScopeAbstraction:
         block = blocks.get(k)
         if block is None:
-            block = ScopeAbstraction.build(problem, k, influence, config.seed)
+            block = ScopeAbstraction.build(problem, k, influence)
             blocks[k] = block
         return block
 
@@ -173,7 +171,7 @@ def solve_assignment(problem: QbfProblem, config: SolveConfig | None = None):
 
     Returns ``(value, stats)``; this algorithm produces no proof trace.
     """
-    config = config or SolveConfig(algorithm="assignment")
+    config = config or SolveConfig()
     t0 = time.perf_counter()
     constant = _constant_result(problem, t0)
     if constant is not None:
@@ -188,14 +186,14 @@ def solve_assignment(problem: QbfProblem, config: SolveConfig | None = None):
     solvers: list[Solver] = []
     var_maps: list[dict[int, int]] = []
     for scope in problem.prefix:
-        solver = Solver(config.seed)
+        solver = Solver()
         var_map = {v: solver.fresh_var() for v in problem.all_vars()}
         solver.add_clause([encode_nnf(
             solver, arena, problem.matrix, var_map,
             negate=scope.quantifier is Quantifier.FORALL)])
         solvers.append(solver)
         var_maps.append(var_map)
-    challenger = Solver(config.seed)
+    challenger = Solver()
     challenger_map = {v: challenger.fresh_var() for v in problem.all_vars()}
     challenger.add_clause([encode_nnf(
         challenger, arena, problem.matrix, challenger_map,

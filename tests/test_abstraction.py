@@ -160,7 +160,7 @@ def test_variable_numbering_stays_mirrored():
     block = ScopeAbstraction.build(problem, 1)
     block.refine([psi1])
     block.refine_dual({psi1: True, psi2: False})
-    assert block.dual_clauses[-1] == (block.claim[psi2],)
+    assert block.dual.db[-1] == (block.claim[psi2],)
     assert block.theta.nvars == block.dual.nvars
 
 
@@ -280,8 +280,8 @@ def test_build_is_deterministic():
     problem, psi1, psi2 = example_problem()
     a = ScopeAbstraction.build(problem, 2)
     b = ScopeAbstraction.build(problem, 2)
-    assert a.theta_clauses == b.theta_clauses
-    assert a.dual_clauses == b.dual_clauses
+    assert a.theta.db == b.theta.db
+    assert a.dual.db == b.dual.db
     assert a.legend() == b.legend()
 
 

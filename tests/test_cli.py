@@ -1,5 +1,7 @@
 """Tests for the command line interface."""
 
+import csv
+
 import pytest
 
 import qbfkit.cli as cli
@@ -102,6 +104,33 @@ def test_certify_then_verify(example_path, tmp_path, capsys):
     assert code == 0
     assert out == "Valid\n"
 
+
+
+def test_stats_csv_quotes_file_names(tmp_path, capsys):
+    path = tmp_path / "a,b.qcir"
+    path.write_text(EXAMPLE_QCIR)
+    stats = tmp_path / "stats.csv"
+    for command in (("solve",), ("certify", "-o", str(tmp_path / "c.aag"))):
+        code, _, _ = run(capsys, *command, str(path), "--stats", str(stats))
+        assert code == 10
+        with open(stats, newline="") as handle:
+            header, row = csv.reader(handle)
+        assert len(header) == len(row) == 7
+        assert row[0] == "a,b.qcir"
+
+
+def test_certificate_input_named_like_a_placeholder_verifies(tmp_path, capsys):
+    """An input named `i1` must not clash with the reader's default name
+    for the second input."""
+    path = tmp_path / "placeholder.qcir"
+    path.write_text("#QCIR-G14\nforall(i1, x)\nexists(y)\noutput(f)\n"
+                    "g = and(i1, x)\nf = or(-y, g)\n")
+    cert = tmp_path / "cert.aag"
+    code, _, _ = run(capsys, "certify", str(path), "-o", str(cert))
+    assert code == 10
+    code, out, _ = run(capsys, "verify", str(path), str(cert))
+    assert code == 0
+    assert out == "Valid\n"
 
 def test_certify_with_preprocessing_still_verifies(example_path, parity_path,
                                                    tmp_path, capsys):

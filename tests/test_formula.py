@@ -1,4 +1,4 @@
-"""Tests for the NNF arena, normalization, and assignment algebra."""
+"""Tests for the NNF arena, normalization, and problem structure."""
 
 import itertools
 import random
@@ -11,13 +11,11 @@ from qbfkit.formula import (
     OR,
     TRUE,
     Arena,
-    PartialAssignment,
     QbfProblem,
     Quantifier,
     Scope,
     copy_into,
     dependencies,
-    direct_subformulas,
     evaluate,
     node_vars,
     problems_equal,
@@ -97,7 +95,6 @@ def test_subformulas_preorder():
     order = subformulas(arena, root)
     kinds = [arena.kind(n) for n in order]
     assert kinds == [OR, LIT, AND, LIT, LIT]
-    assert direct_subformulas(arena, root) == arena.children(root)
 
 
 def test_negated_example():
@@ -140,46 +137,6 @@ def test_evaluate_requires_total_assignment():
     assert evaluate(arena, root, {1: 0, 2: 1}) == 1
     with pytest.raises(ValueError):
         evaluate(arena, root, {1: 0})
-
-
-def test_partial_assignment_compatibility():
-    alpha = PartialAssignment.total({1: 1, 2: 0, 3: 1})
-    beta = PartialAssignment.of([1, 2, 3], {2: 0})
-    assert beta.compatible_with(alpha)
-    assert not beta.complement().compatible_with(alpha)
-    gamma = PartialAssignment.of([1, 2], {2: 0})
-    assert not gamma.compatible_with(alpha)  # different domains
-    assert alpha.compatible_with(alpha)
-
-
-def test_partial_assignment_combine_and_complement():
-    a = PartialAssignment.of([1, 2], {1: 1})
-    b = PartialAssignment.of([3], {3: 0})
-    merged = a.combine(b)
-    assert merged.domain == frozenset([1, 2, 3])
-    assert merged[1] == 1 and merged[2] is None and merged[3] == 0
-    with pytest.raises(ValueError):
-        a.combine(PartialAssignment.of([2], {}))
-    flipped = merged.complement()
-    assert flipped[1] == 0 and flipped[2] is None and flipped[3] == 1
-    assert flipped.complement().values == merged.values
-
-
-def test_partial_assignment_property_suite():
-    """Seeded random checks of the algebra's stated invariants."""
-    rng = random.Random(3)
-    for _ in range(200):
-        dom = list(range(1, rng.randint(2, 6)))
-        total = PartialAssignment.total({v: rng.randint(0, 1) for v in dom})
-        sub = PartialAssignment.of(
-            dom, {v: total[v] for v in dom if rng.random() < 0.6}
-        )
-        assert sub.compatible_with(total)
-        assert sub.complement().complement().values == sub.values
-        half = [v for v in dom if rng.random() < 0.5]
-        left = total.restrict(half)
-        right = total.restrict([v for v in dom if v not in half])
-        assert left.combine(right).values == total.values
 
 
 def make_problem():

@@ -9,8 +9,8 @@ from qbfkit.formula import Arena, evaluate
 from qbfkit.sat import Solver, SolveResult, encode_nnf
 
 
-def new_solver(nvars, clauses=(), seed=0):
-    s = Solver(seed=seed)
+def new_solver(nvars, clauses=()):
+    s = Solver()
     for _ in range(nvars):
         s.fresh_var()
     for c in clauses:

@@ -138,6 +138,31 @@ def test_xor_chain_of_forty_levels_stays_linear():
     assert time.perf_counter() - start < 2.0
 
 
+
+def test_separately_written_copies_of_a_gate_dag_compare_once_per_pair():
+    """Two xor chains written out apart are structurally equal; `build`
+    drops one under the `or` over their tops without comparing per path."""
+    n = 40
+    lines = ["#QCIR-G14",
+             "exists(" + ", ".join(f"x{i}" for i in range(1, n + 1)) + ")",
+             "forall(z)",
+             "output(m)"]
+    for chain in "ab":
+        prev = "x1"
+        for i in range(2, n + 1):
+            lines.append(f"{chain}{i} = xor({prev}, x{i})")
+            prev = f"{chain}{i}"
+    lines += [f"t = or(a{n}, b{n})", "u = or(z, t)", f"v = or(-z, -a{n})",
+              "m = and(u, v)"]
+    start = time.perf_counter()
+    problem = parse_qcir("\n".join(lines) + "\n")
+    assert time.perf_counter() - start < 1.0
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    assert value is False
+    circuit = build_certificate(problem, reduced, info.eliminated, trace, value)
+    assert verify(problem, circuit).valid
+
 SHADOWED = """\
 #QCIR-G14
 exists(x, y)
