@@ -7,7 +7,7 @@ circuits from abstraction-solver runs, and independently verifies them.
 
 from .aiger import Circuit, read_aiger, write_aiger
 from .bench import (GenSpec, gen_expansion_hard, gen_qparity, gen_random,
-                    run_experiment, standard_instances)
+                    run_experiment)
 from .certify import (VerifyResult, build_certificate, extract_functions,
                       read_trace, verify, write_trace)
 from .formula import (Arena, InternalError, QbfProblem, Quantifier, Scope,
@@ -53,7 +53,6 @@ __all__ = [
     "run_experiment",
     "solve_abstraction",
     "solve_assignment",
-    "standard_instances",
     "verify",
     "write_aiger",
     "write_qcir",

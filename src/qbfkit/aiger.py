@@ -186,7 +186,7 @@ def read_aiger(text: str) -> Circuit:
             comment_at = offset
             break
         tag, _, name = line.partition(" ")
-        if not name or tag[0] not in "io" or not tag[1:].isdigit():
+        if not name or tag[:1] not in ("i", "o") or not tag[1:].isdigit():
             raise ParseError(f"bad symbol table entry: {line!r}")
         index = int(tag[1:])
         if tag[0] == "i":

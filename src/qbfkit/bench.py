@@ -145,16 +145,6 @@ CSV_HEADER = ("family,n,algorithm,truth,refinements_per_scope,"
               "total_iterations,wall_time_s")
 
 
-def standard_instances(max_n: int = 5, seed: int = 0):
-    """The default sweep: both structured families plus random instances."""
-    out = [("qparity", n, gen_qparity(n)) for n in range(2, max_n + 1)]
-    out += [("expansion-hard", n, gen_expansion_hard(n))
-            for n in range(1, max_n + 1)]
-    out += [("random", i, gen_random(GenSpec(seed=seed + i)))
-            for i in range(1, max_n + 1)]
-    return out
-
-
 def stats_csv(rows) -> str:
     """CSV text: the header, then one line per (label, n, algorithm, value,
     stats) row.
@@ -182,7 +172,7 @@ def run_experiment(instances, algorithms=("abstraction", "assignment")) -> str:
             if algorithm == "abstraction":
                 value, _, stats = solve_abstraction(problem, config)
             elif algorithm == "assignment":
-                value, stats = solve_assignment(problem, config)
+                value, stats = solve_assignment(problem)
             else:
                 raise ValueError(f"unknown algorithm {algorithm!r}")
             rows.append((family, n, algorithm, value, stats))

@@ -27,34 +27,42 @@ from .abstraction import InfluenceMap, compute_influence
 from .aiger import FALSE_LIT, TRUE_LIT, Circuit
 from .aiger import negate as aig_not
 from .formula import (AND, LIT, OR, TRUE, Arena, InternalError, QbfProblem,
-                      Quantifier, copy_into, dependencies)
+                      Quantifier, dependencies)
 from .parsing import ParseError
 from .sat import Solver, encode_nnf
 from .solver import ProofPair, ProofTrace
 
 
 def condition_formula(problem: QbfProblem, node: int,
-                      scope_index: int) -> tuple[Arena, int]:
-    """The grant condition of an interface node, as a fresh formula.
+                      scope_index: int) -> Circuit:
+    """The grant condition of an interface node, as a one-output circuit.
 
     For a node on the incoming interface of the given block, this is the
-    outer-visible part of the node in the block's polarity: the formula over
+    outer-visible part of the node in the block's polarity: the function of
     strictly outer variables that holds exactly when the outer rounds have
-    settled the node in the block's favor.
+    settled the node in the block's favor. The circuit's inputs are the
+    variables of the blocks before ``scope_index``; its output is named
+    ``condition``.
     """
-    arena = Arena()
-    root = _condition_into(problem, compute_influence(problem), node,
-                           scope_index, arena)
-    return arena, root
+    circuit = Circuit()
+    var_lit = {v: circuit.add_input(problem.var_names[v])
+               for scope in problem.prefix[:scope_index - 1] for v in scope.vars}
+    circuit.add_output("condition", _condition(
+        circuit, problem, compute_influence(problem), node, scope_index,
+        var_lit, {}))
+    return circuit
 
 
-def _condition_into(problem: QbfProblem, influence: InfluenceMap, node: int,
-                    scope_index: int, dst: Arena,
-                    copies: dict | None = None) -> int:
-    """Build the grant condition of `node` at a block into `dst`.
+def _condition(circuit: Circuit, problem: QbfProblem, influence: InfluenceMap,
+               node: int, scope_index: int, var_lit: dict[int, int],
+               encoded: dict[int, int]) -> int:
+    """Encode the grant condition of `node` at a block into the circuit.
 
-    `copies` is the `copy_into` memo of `dst`; sharing it between calls
-    copies each outer subformula into `dst` once per polarity.
+    The condition keeps the children of `node` that only outer blocks read,
+    each in the block's polarity: an outer literal becomes its `var_lit`
+    literal, an outer subformula is encoded once per node through `encoded`
+    (see `_encode_formula`) and negated at a universal block. The pieces are
+    joined by the node's connective, dualized at a universal block.
     """
     if not influence.straddles(node, scope_index - 1):
         raise InternalError(
@@ -62,23 +70,26 @@ def _condition_into(problem: QbfProblem, influence: InfluenceMap, node: int,
             f"{scope_index}")
     negated = problem.prefix[scope_index - 1].quantifier is Quantifier.FORALL
     arena = problem.arena
-    kind = arena.kinds[node]
-    out_kind = kind if not negated else (OR if kind == AND else AND)
     pieces = []
     for child in arena.payload[node]:
         if arena.kinds[child] == LIT:
             lit = arena.payload[child]
             if problem.var_scope[abs(lit)] < scope_index:
-                pieces.append(dst.lit(-lit if negated else lit))
+                base = var_lit[abs(lit)]
+                pieces.append(base if (lit > 0) != negated else aig_not(base))
         elif influence.max_scope[child] < scope_index:
-            pieces.append(copy_into(dst, arena, child, negated, copies))
-    return dst.build(out_kind, pieces)
+            out = _encode_formula(circuit, arena, child, var_lit, encoded)
+            pieces.append(aig_not(out) if negated else out)
+    if (arena.kinds[node] == AND) != negated:
+        return circuit.and_many(pieces)
+    return circuit.or_many(pieces)
 
 
 def _encode_formula(circuit: Circuit, arena: Arena, node: int,
                     var_lit: dict[int, int], encoded: dict[int, int]) -> int:
-    """Encode an NNF formula into the circuit, substituting variables.
+    """Encode an NNF subformula into the circuit, substituting variables.
 
+    `var_lit` maps each variable of the subformula to a circuit literal.
     `encoded` maps nodes of `arena` already encoded to their circuit
     literal. Reusing it across calls is sound as long as no entry of
     `var_lit` that an encoded node reads is changed afterwards.
@@ -132,21 +143,16 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
     if reduced.matrix_constant() is None:
         influence = compute_influence(reduced)
         # Grant conditions at block k read only variables of blocks before k,
-        # whose entries in var_lit are final by then, so one scratch arena
-        # and its memos serve every block.
-        scratch = Arena()
-        copies: dict = {}
+        # whose entries in var_lit are final by then, so one memo of encoded
+        # nodes serves every block.
         encoded: dict[int, int] = {}
         condition: dict[tuple[int, int], int] = {}  # (node, block) -> literal
 
         def condition_lit(n: int, k: int) -> int:
             lit = condition.get((n, k))
             if lit is None:
-                lit = _encode_formula(
-                    circuit, scratch,
-                    _condition_into(reduced, influence, n, k, scratch, copies),
-                    var_lit, encoded)
-                condition[n, k] = lit
+                lit = condition[n, k] = _condition(
+                    circuit, reduced, influence, n, k, var_lit, encoded)
             return lit
 
         for k, scope in enumerate(reduced.prefix, start=1):

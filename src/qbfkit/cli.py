@@ -59,11 +59,11 @@ def _report(value: bool) -> int:
 def cmd_solve(args) -> int:
     problem = load_problem(args.file)
     reduced, _ = _reduce(problem, args)
-    config = SolveConfig(record_trace=False)
     if args.algorithm == "abstraction":
-        value, _, stats = solve_abstraction(reduced, config)
+        value, _, stats = solve_abstraction(reduced,
+                                            SolveConfig(record_trace=False))
     else:
-        value, stats = solve_assignment(reduced, config)
+        value, stats = solve_assignment(reduced)
     log.info("solved %s in %.3fs after %d solver queries",
              args.file, stats.wall_time, stats.total_iterations)
     if args.stats:

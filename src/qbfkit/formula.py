@@ -11,7 +11,6 @@ OR = "or"
 TRUE = "true"
 FALSE = "false"
 
-_DUAL = {AND: OR, OR: AND, TRUE: FALSE, FALSE: TRUE}
 _NEUTRAL = {AND: TRUE, OR: FALSE}
 _ABSORBING = {AND: FALSE, OR: TRUE}
 
@@ -56,19 +55,6 @@ class Arena:
         self.payload.append(payload)
         self.shape.append(shape)
         return len(self.kinds) - 1
-
-    def kind(self, node: int) -> str:
-        return self.kinds[node]
-
-    def children(self, node: int) -> tuple[int, ...]:
-        if self.kinds[node] == LIT:
-            return ()
-        return self.payload[node]
-
-    def literal(self, node: int) -> int:
-        if self.kinds[node] != LIT:
-            raise ValueError(f"node {node} is not a literal")
-        return self.payload[node]
 
     def lit(self, literal: int) -> int:
         """Create a literal leaf. `literal` is a signed variable id."""
@@ -117,13 +103,6 @@ class Arena:
         shape = hash((kind, tuple(self.shape[c] for c in kept)))
         return self._add(kind, tuple(kept), shape)
 
-    def negated(self, node: int) -> int:
-        """Build the NNF negation of `node` as fresh nodes (De Morgan).
-
-        Each node below `node` is negated once, so shared nodes stay shared.
-        """
-        return copy_into(self, self, node, True)
-
 
 def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int,
                      memo: dict | None = None) -> bool:
@@ -153,33 +132,6 @@ def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int,
         known = memo[a, b] = all(structural_equal(arena_a, x, arena_b, y, memo)
                                  for x, y in zip(ca, cb))
     return known
-
-
-def copy_into(dst: Arena, src: Arena, node: int, negate: bool = False,
-              memo: dict | None = None) -> int:
-    """Copy a subformula into another arena, optionally negating it.
-
-    Each source node is copied once per polarity, so shared nodes stay
-    shared. `memo` maps `(source node, negate)` to the copy; passing the
-    same dict to several calls into one `dst` shares their copies too.
-    """
-    if memo is None:
-        memo = {}
-    out = memo.get((node, negate))
-    if out is not None:
-        return out
-    kind = src.kinds[node]
-    if kind == LIT:
-        lit = src.payload[node]
-        out = dst.lit(-lit if negate else lit)
-    elif kind in (TRUE, FALSE):
-        out = dst.const((kind == TRUE) != negate)
-    else:
-        out = dst.build(_DUAL[kind] if negate else kind,
-                        [copy_into(dst, src, c, negate, memo)
-                         for c in src.payload[node]])
-    memo[node, negate] = out
-    return out
 
 
 def subformulas(arena: Arena, node: int) -> list[int]:

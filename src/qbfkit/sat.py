@@ -359,23 +359,6 @@ class Solver:
         finally:
             self._cancel_until(0)
 
-    def shrink_core(self, core) -> tuple[int, ...]:
-        """Greedy deletion-based core shrink; each drop costs one solve."""
-        current = list(core)
-        i = 0
-        while i < len(current):
-            candidate = current[:i] + current[i + 1:]
-            res = self.solve(candidate)
-            if res.sat:
-                i += 1
-            else:
-                smaller = list(res.failed)
-                i = 0 if len(smaller) < len(current) - 1 else i
-                current = smaller
-                if not current:
-                    break
-        return tuple(current)
-
     def to_dimacs(self) -> str:
         """The full added-clause database in DIMACS, for external debugging."""
         lines = [f"p cnf {self.nvars} {len(self.db)}"]

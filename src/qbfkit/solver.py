@@ -57,8 +57,6 @@ class ProofTrace:
 
 @dataclass
 class SolveConfig:
-    adjust: bool = True  # maximize claims before delegating inward
-    shrink_cores: bool = False
     record_trace: bool = True
 
 
@@ -108,12 +106,6 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
             blocks[k] = block
         return block
 
-    def loss_witness(block: ScopeAbstraction, solver: Solver, core,
-                     granted: dict) -> dict:
-        if config.shrink_cores and core:
-            core = solver.shrink_core(core)
-        return block.witness_from_core(core, granted)
-
     def confirm_win(block: ScopeAbstraction, k: int, x_values: dict,
                     granted: dict) -> dict:
         """Ask the challenger side to refute the round; UNSAT is the proof."""
@@ -122,7 +114,7 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
         if result.sat:
             raise InternalError(
                 f"round at block {k} was confirmed by both sides")
-        witness = loss_witness(block, block.dual, result.failed, granted)
+        witness = block.witness_from_core(result.failed, granted)
         if config.record_trace:
             trace.record(ProofPair(
                 k,
@@ -137,15 +129,12 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
             stats.sat_queries[k - 1] += 1
             result = block.theta.solve(block.theta_assumptions(granted))
             if not result.sat:
-                witness = loss_witness(block, block.theta, result.failed,
-                                       granted)
+                witness = block.witness_from_core(result.failed, granted)
                 return (not exists_here), witness
             x_values = block.x_assignment(result.model)
             if k == nblocks or innermost_used <= k:
                 return exists_here, confirm_win(block, k, x_values, granted)
-            model = (block.maximize_claims(result.model)
-                     if config.adjust else result.model)
-            claims = block.exposed_claims(model)
+            claims = block.exposed_claims(block.maximize_claims(result.model))
             inner_exists_wins, inner_witness = run(
                 k + 1, {n: not claims[n] for n in block.exposed})
             if inner_exists_wins == exists_here:
@@ -166,12 +155,11 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     return value, trace, stats
 
 
-def solve_assignment(problem: QbfProblem, config: SolveConfig | None = None):
+def solve_assignment(problem: QbfProblem):
     """Solve by playing rounds over full variable assignments.
 
     Returns ``(value, stats)``; this algorithm produces no proof trace.
     """
-    config = config or SolveConfig()
     t0 = time.perf_counter()
     constant = _constant_result(problem, t0)
     if constant is not None:
@@ -203,10 +191,7 @@ def solve_assignment(problem: QbfProblem, config: SolveConfig | None = None):
         return [var_map[v] if val else -var_map[v]
                 for v, val in sorted(values.items())]
 
-    def core_witness(solver: Solver, var_map: dict[int, int], core,
-                     values: dict) -> dict:
-        if config.shrink_cores and core:
-            core = solver.shrink_core(core)
+    def core_witness(var_map: dict[int, int], core, values: dict) -> dict:
         var_of = {sv: v for v, sv in var_map.items()}
         return {var_of[abs(lit)]: values[var_of[abs(lit)]] for lit in core}
 
@@ -218,7 +203,7 @@ def solve_assignment(problem: QbfProblem, config: SolveConfig | None = None):
             stats.sat_queries[k - 1] += 1
             result = solver.solve(assumption_lits(var_map, alpha))
             if not result.sat:
-                witness = core_witness(solver, var_map, result.failed, alpha)
+                witness = core_witness(var_map, result.failed, alpha)
                 return (not exists_here), witness
             beta = dict(alpha)
             for v in scope.vars:
@@ -229,8 +214,7 @@ def solve_assignment(problem: QbfProblem, config: SolveConfig | None = None):
                 if refute.sat:
                     raise InternalError(
                         "matrix and its negation both satisfied")
-                witness = core_witness(challenger, challenger_map,
-                                       refute.failed, beta)
+                witness = core_witness(challenger_map, refute.failed, beta)
                 return exists_here, {v: b for v, b in witness.items()
                                      if v in alpha}
             inner_exists_wins, inner_witness = run(k + 1, beta)

@@ -6,8 +6,7 @@ import io
 import pytest
 
 from qbfkit.bench import (CSV_HEADER, GenSpec, gen_expansion_hard,
-                          gen_qparity, gen_random, run_experiment,
-                          standard_instances)
+                          gen_qparity, gen_random, run_experiment)
 from qbfkit.certify import extract_functions, verify
 from qbfkit.formula import problems_equal, subformulas
 from qbfkit.parsing import parse_qcir
@@ -140,13 +139,6 @@ def test_run_experiment_reports_csv():
 def test_run_experiment_rejects_unknown_algorithms():
     with pytest.raises(ValueError):
         run_experiment([("qparity", 2, gen_qparity(2))], algorithms=("qrs",))
-
-
-def test_standard_instances_cover_all_families():
-    instances = standard_instances(max_n=3)
-    assert {family for family, _, _ in instances} == {
-        "qparity", "expansion-hard", "random"}
-    assert len(instances) == 2 + 3 + 3
 
 
 def test_generators_reject_nonpositive_sizes():

@@ -8,7 +8,7 @@ from qbfkit.aiger import TRUE_LIT, Circuit, read_aiger, write_aiger
 from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
                             write_trace)
-from qbfkit.formula import InternalError, evaluate
+from qbfkit.formula import InternalError
 from qbfkit.parsing import ParseError, parse_qcir, write_qcir
 from qbfkit.preprocess import preprocess
 from qbfkit.solver import ProofPair, ProofTrace, solve_abstraction
@@ -64,16 +64,16 @@ def example_problem():
 
 def test_condition_of_the_inner_and_node():
     problem, _, psi2 = example_problem()
-    arena, root = condition_formula(problem, psi2, 2)
-    for x in (0, 1):
-        assert evaluate(arena, root, {1: x}) == 1 - x
+    circuit = condition_formula(problem, psi2, 2)
+    for x in (False, True):
+        assert circuit.evaluate({"x": x})["condition"] is not x
 
 
 def test_condition_of_the_or_root():
     problem, psi1, _ = example_problem()
-    arena, root = condition_formula(problem, psi1, 2)
-    for x in (0, 1):
-        assert evaluate(arena, root, {1: x}) == x
+    circuit = condition_formula(problem, psi1, 2)
+    for x in (False, True):
+        assert circuit.evaluate({"x": x})["condition"] is x
 
 
 def test_condition_requires_an_interface_node():
@@ -86,11 +86,12 @@ def test_universal_block_conditions_flip_polarity():
     problem = parse_qcir(PARITY2_QCIR)
     c1, c2 = problem.arena.payload[problem.matrix]
     for node, wants_parity in ((c1, False), (c2, True)):
-        arena, root = condition_formula(problem, node, 2)
-        for x1 in (0, 1):
-            for x2 in (0, 1):
-                expected = x1 ^ x2 if wants_parity else 1 - (x1 ^ x2)
-                assert evaluate(arena, root, {1: x1, 2: x2}) == expected
+        circuit = condition_formula(problem, node, 2)
+        for x1 in (False, True):
+            for x2 in (False, True):
+                expected = (x1 != x2) is wants_parity
+                got = circuit.evaluate({"x1": x1, "x2": x2})["condition"]
+                assert got is expected
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +104,16 @@ def test_skolem_extraction_golden():
     assert value is True
     circuit = extract_functions(problem, trace, value)
     assert write_aiger(circuit) == "aag 1 1 0 1 0\n2\n3\ni0 x\no0 y\nc\nskolem\n"
+
+
+def test_herbrand_extraction_golden():
+    problem = parse_qcir(PARITY2_QCIR)
+    value, trace, _ = solve_abstraction(problem)
+    assert value is False
+    assert write_aiger(extract_functions(problem, trace, value)) == (
+        "aag 10 2 0 1 8\n2\n4\n18\n6 2 5\n8 3 4\n10 7 9\n12 2 4\n"
+        "14 3 5\n16 13 15\n18 11 16\n20 11 17\ni0 x1\ni1 x2\no0 z\n"
+        "c\nherbrand\n")
 
 
 def test_herbrand_extraction_computes_parity():

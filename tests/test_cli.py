@@ -173,6 +173,16 @@ def test_verify_unreadable_certificate(example_path, tmp_path, capsys):
     assert "error:" in err
 
 
+def test_verify_rejects_a_symbol_line_without_a_tag(example_path, tmp_path,
+                                                     capsys):
+    cert = tmp_path / "untagged.aag"
+    cert.write_text("aag 1 1 0 1 0\n2\n3\n x\no0 y\nc\nskolem\n")
+    code, out, err = run(capsys, "verify", example_path, str(cert))
+    assert code == 1
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in out + err
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     code, _, _ = run(capsys, "bench", "--family", "qparity", "--n", "2..3",

@@ -31,12 +31,12 @@ def test_golden_qcir_structure():
     assert [names_of(p, s.vars) for s in p.prefix] == [["1"], ["2"]]
     arena = p.arena
     assert arena.kinds[p.matrix] == OR
-    a, b = arena.children(p.matrix)
+    a, b = arena.payload[p.matrix]
     assert arena.kinds[a] == LIT
-    assert p.var_names[arena.literal(a)] == "1"
+    assert p.var_names[arena.payload[a]] == "1"
     assert arena.kinds[b] == AND
     lits = sorted((arena.payload[c] > 0, p.var_names[abs(arena.payload[c])])
-                  for c in arena.children(b))
+                  for c in arena.payload[b])
     assert lits == [(False, "1"), (True, "2")]
     assert p.node_gate  # provenance recorded for expanded gates
 
@@ -168,7 +168,7 @@ def test_golden_qdimacs_structure():
     ]
     arena = p.arena
     assert arena.kinds[p.matrix] == AND
-    kids = arena.children(p.matrix)
+    kids = arena.payload[p.matrix]
     assert len(kids) == 3
     assert arena.kinds[kids[0]] == OR
     assert arena.kinds[kids[2]] == LIT  # unit clause collapses to its literal
@@ -187,7 +187,7 @@ def test_qdimacs_no_clauses_is_true():
 
 def test_qdimacs_clause_spanning_lines():
     p = parse_qdimacs("p cnf 3 1\ne 1 2 3 0\n1 2\n3 0\n")
-    assert len(p.arena.children(p.matrix)) == 3  # one ternary clause
+    assert len(p.arena.payload[p.matrix]) == 3  # one ternary clause
 
 
 def test_qdimacs_errors():

@@ -1,12 +1,15 @@
 """The README's code examples run as written against the current API."""
 
 import contextlib
+import dataclasses
 import io
 import pathlib
 import re
 import shlex
 
+import qbfkit
 import qbfkit.cli as cli
+from qbfkit.solver import SolveConfig
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -38,3 +41,14 @@ def test_command_line_examples_parse():
 def test_seed_is_a_bench_option_only(capsys):
     assert cli.main(["solve", "x.qcir", "--seed", "3"]) == cli.EXIT_USAGE
     assert "--seed" in capsys.readouterr().err
+
+
+def test_solve_config_fields_match_the_readme():
+    documented = re.findall(r"SolveConfig\(([^)]*)\)", README)
+    fields = ", ".join(f"{f.name}={f.default!r}"
+                       for f in dataclasses.fields(SolveConfig))
+    assert documented == [fields]
+
+
+def test_every_export_resolves():
+    assert [name for name in qbfkit.__all__ if not hasattr(qbfkit, name)] == []

@@ -138,15 +138,6 @@ def test_core_via_root_implication():
     assert res.failed == (2,)
 
 
-def test_shrink_core_removes_irrelevant_assumptions():
-    s = new_solver(3, [[-1, -2]])
-    res = s.solve([3, 1, 2])
-    assert not res.sat
-    core = s.shrink_core(res.failed)
-    assert set(core) == {1, 2}
-    assert not s.solve(core).sat
-
-
 def test_incremental_clause_addition():
     s = new_solver(2)
     assert s.solve([1, 2]).sat
@@ -177,9 +168,6 @@ def test_core_property_random(seed=0):
             assert set(res.failed) <= set(assumps)
             again = s.solve(res.failed)
             assert not again.sat
-            shrunk = s.shrink_core(res.failed)
-            assert set(shrunk) <= set(res.failed)
-            assert not s.solve(shrunk).sat
 
 
 # ----------------------------------------------------------------------

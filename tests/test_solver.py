@@ -128,19 +128,6 @@ def parse_failure(problem, expected, got):
     return f"expected {expected}, got {got} on:\n{write_qcir(problem)}"
 
 
-def test_config_variants_agree_with_brute_force():
-    rng = random.Random(77)
-    for flags in (SolveConfig(adjust=False), SolveConfig(shrink_cores=True),
-                  SolveConfig(adjust=False, shrink_cores=True)):
-        checked = 0
-        while checked < 40:
-            problem = random_problem(rng)
-            expected = brute_force(problem)
-            value, _, _ = solve_abstraction(problem, flags)
-            assert value is expected, parse_failure(problem, expected, value)
-            checked += 1
-
-
 def test_runs_are_deterministic():
     problem = parse_qcir(PARITY2_QCIR)
     first = solve_abstraction(problem)
