@@ -11,12 +11,14 @@ variable numbering:
   round actually relied on.
 
 Subformulas whose variables lie on both sides of a block boundary are the
-interface of that boundary. A claim variable (`claim[n]`) states that the
-round being built keeps node `n` alive; an outer variable (`outer_sat[n]`)
-states that the outer rounds already took care of the part of `n` they can
-see. Interface literals are the only channel between blocks: a block
-receives assumptions over the incoming interface and exposes claims over the
-outgoing one.
+interface of that boundary. `compute_influence` lists the interface of
+every boundary in one walk of the matrix, and each block reads its incoming
+and outgoing interface from that table. A claim variable (`claim[n]`) states
+that the round being built keeps node `n` alive; an outer variable
+(`outer_sat[n]`) states that the outer rounds already took care of the part
+of `n` they can see. Interface literals are the only channel between blocks:
+a block receives assumptions over the incoming interface and exposes claims
+over the outgoing one.
 
 Claim, outer and constraint variables name arena nodes, not occurrences of
 them. The matrix is a DAG, and a node reached from several parents (a QCIR
@@ -54,16 +56,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import (AND, LIT, OR, InternalError, QbfProblem, Quantifier,
-                      subformulas, topological)
+                      subformulas)
 from .sat import Solver
 
 
 @dataclass(frozen=True)
 class InfluenceMap:
-    """Innermost and outermost block index touched by every subformula."""
+    """Innermost and outermost block index touched by every subformula, and
+    the interface of every boundary.
+
+    `interface[k]` lists the nodes straddling boundary k|k+1 in preorder of
+    first visits, each once however many parents it has; `interface[0]` and
+    `interface[scope_count]` are empty.
+    """
 
     min_scope: dict[int, int]
     max_scope: dict[int, int]
+    interface: tuple[tuple[int, ...], ...]
 
     def straddles(self, node: int, boundary: int) -> bool:
         return self.min_scope[node] <= boundary < self.max_scope[node]
@@ -73,29 +82,23 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
     arena = problem.arena
     if problem.matrix_constant() is not None:
         raise ValueError("a constant matrix has no influence structure")
+    kinds, payload = arena.kinds, arena.payload
+    preorder = subformulas(arena, problem.matrix)
     mins: dict[int, int] = {}
     maxs: dict[int, int] = {}
-    for n in topological(arena, problem.matrix):
-        if arena.kinds[n] == LIT:
-            s = problem.var_scope[abs(arena.payload[n])]
+    for n in sorted(preorder):
+        if kinds[n] == LIT:
+            s = problem.var_scope[abs(payload[n])]
             mins[n] = maxs[n] = s
         else:
-            kids = arena.payload[n]
+            kids = payload[n]
             mins[n] = min(mins[c] for c in kids)
             maxs[n] = max(maxs[c] for c in kids)
-    return InfluenceMap(mins, maxs)
-
-
-def boundary_interface(problem: QbfProblem, influence: InfluenceMap,
-                       boundary: int) -> tuple[int, ...]:
-    """Nodes with variables on both sides of boundary k|k+1, in preorder.
-
-    Each node is listed once, however many parents it has.
-    """
-    if boundary <= 0 or boundary >= problem.scope_count:
-        return ()
-    return tuple(n for n in subformulas(problem.arena, problem.matrix)
-                 if influence.straddles(n, boundary))
+    interface: list[list[int]] = [[] for _ in range(problem.scope_count + 1)]
+    for n in preorder:
+        for k in range(mins[n], maxs[n]):
+            interface[k].append(n)
+    return InfluenceMap(mins, maxs, tuple(map(tuple, interface)))
 
 
 class ScopeAbstraction:
@@ -132,9 +135,9 @@ class ScopeAbstraction:
     def build(cls, problem: QbfProblem, scope_index: int,
               influence: InfluenceMap | None = None) -> "ScopeAbstraction":
         influence = influence or compute_influence(problem)
-        incoming = boundary_interface(problem, influence, scope_index - 1)
-        exposed = boundary_interface(problem, influence, scope_index)
-        return cls(problem, scope_index, influence, incoming, exposed)
+        return cls(problem, scope_index, influence,
+                   influence.interface[scope_index - 1],
+                   influence.interface[scope_index])
 
     # ------------------------------------------------------------------
     # variable management (both solvers allocate in lockstep)

@@ -32,106 +32,73 @@ class Arena:
     """Append-only store of NNF nodes.
 
     The matrix is a DAG: a node may be the child of several parents, as a
-    QCIR gate shared by name stays one node. Structurally equal subformulas
-    built separately are not merged; they stay distinct nodes. A node's
-    children always exist before it, so ascending ids are a topological
-    order. Constants may exist in the arena but `build` folds them away, so
-    they never remain inside a normalized matrix.
+    QCIR gate shared by name stays one node. Every node gets a structural
+    class id (`canon`) when it is created, from a per-arena table keyed by
+    its literal, or by its kind and its children's class ids: two nodes get
+    the same class exactly when they are structurally equal. Nodes of one
+    class are not merged; each `lit` and `build` call still appends a node.
+    A node's children always exist before it, so ascending ids are a
+    topological order. Constants may exist in the arena but `build` folds
+    them away, so they never remain inside a normalized matrix.
     """
 
-    __slots__ = ("kinds", "payload", "shape")
+    __slots__ = ("kinds", "payload", "canon", "_classes")
 
     def __init__(self) -> None:
         self.kinds: list[str] = []
         # literal for "lit" nodes, child tuple for "and"/"or", () for constants
         self.payload: list = []
-        self.shape: list[int] = []
+        self.canon: list[int] = []
+        self._classes: dict[tuple, int] = {}
 
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def _add(self, kind: str, payload, shape: int) -> int:
+    def _add(self, kind: str, payload, key: tuple) -> int:
         self.kinds.append(kind)
         self.payload.append(payload)
-        self.shape.append(shape)
+        self.canon.append(self._classes.setdefault(key, len(self._classes)))
         return len(self.kinds) - 1
 
     def lit(self, literal: int) -> int:
         """Create a literal leaf. `literal` is a signed variable id."""
         if literal == 0:
             raise ValueError("literal must be a nonzero signed variable id")
-        return self._add(LIT, literal, hash((LIT, literal)))
+        return self._add(LIT, literal, (LIT, literal))
 
     def const(self, value: bool) -> int:
         kind = TRUE if value else FALSE
-        return self._add(kind, (), hash(kind))
+        return self._add(kind, (), (kind,))
 
     def build(self, kind: str, children) -> int:
         """Normalizing constructor for And/Or nodes.
 
-        Flattens same-connective children, folds constants, removes
-        structurally duplicate children, and collapses trivial arities, so the
+        Flattens same-connective children, folds constants, keeps the first
+        child of each structural class, and collapses trivial arities, so the
         result satisfies the matrix invariants (no constant inside, no nested
         same connective, >= 2 distinct children).
         """
         if kind not in (AND, OR):
             raise ValueError(f"build expects '{AND}' or '{OR}', got {kind!r}")
         neutral, absorbing = _NEUTRAL[kind], _ABSORBING[kind]
-        flat: list[int] = []
+        canon = self.canon
+        kept: dict[int, int] = {}  # class id -> first child of that class
         for child in children:
             ck = self.kinds[child]
             if ck == kind:
-                flat.extend(self.payload[child])
+                for grandchild in self.payload[child]:
+                    kept.setdefault(canon[grandchild], grandchild)
             elif ck == neutral:
                 continue
             elif ck == absorbing:
                 return child
             else:
-                flat.append(child)
-        kept: list[int] = []
-        by_shape: dict[int, list[int]] = {}
-        for child in flat:
-            bucket = by_shape.setdefault(self.shape[child], [])
-            if any(structural_equal(self, child, self, seen) for seen in bucket):
-                continue
-            bucket.append(child)
-            kept.append(child)
+                kept.setdefault(canon[child], child)
         if not kept:
-            return self._add(neutral, (), hash(neutral))
+            return self._add(neutral, (), (neutral,))
         if len(kept) == 1:
-            return kept[0]
-        shape = hash((kind, tuple(self.shape[c] for c in kept)))
-        return self._add(kind, tuple(kept), shape)
-
-
-def structural_equal(arena_a: Arena, a: int, arena_b: Arena, b: int,
-                     memo: dict | None = None) -> bool:
-    """Structural (shape and literal) equality, ignoring node identity.
-
-    `memo` holds the node pairs already compared, so shared descendants are
-    compared once per pair, not once per path to them.
-    """
-    if arena_a is arena_b and a == b:
-        return True
-    if arena_a.shape[a] != arena_b.shape[b]:
-        return False
-    ka, kb = arena_a.kinds[a], arena_b.kinds[b]
-    if ka != kb:
-        return False
-    if ka == LIT:
-        return arena_a.payload[a] == arena_b.payload[b]
-    if ka in (TRUE, FALSE):
-        return True
-    ca, cb = arena_a.payload[a], arena_b.payload[b]
-    if len(ca) != len(cb):
-        return False
-    if memo is None:
-        memo = {}
-    known = memo.get((a, b))
-    if known is None:
-        known = memo[a, b] = all(structural_equal(arena_a, x, arena_b, y, memo)
-                                 for x, y in zip(ca, cb))
-    return known
+            return next(iter(kept.values()))
+        return self._add(kind, tuple(kept.values()), (kind, tuple(kept)))
 
 
 def subformulas(arena: Arena, node: int) -> list[int]:
@@ -286,25 +253,20 @@ def problems_equal(a: QbfProblem, b: QbfProblem) -> bool:
         if tuple(a.var_names[v] for v in sa.vars) != tuple(b.var_names[v] for v in sb.vars):
             return False
 
-    equal: dict[tuple[int, int], bool] = {}  # each node pair compared once
+    # one class table for both matrices: equal class ids mean equal structure
+    classes: dict[tuple, int] = {}
 
-    def eq(na: int, nb: int) -> bool:
-        known = equal.get((na, nb))
-        if known is not None:
-            return known
-        ka, kb = a.arena.kinds[na], b.arena.kinds[nb]
-        if ka != kb:
-            result = False
-        elif ka == LIT:
-            la, lb = a.arena.payload[na], b.arena.payload[nb]
-            result = ((la > 0) == (lb > 0)
-                      and a.var_names[abs(la)] == b.var_names[abs(lb)])
-        elif ka in (TRUE, FALSE):
-            result = True
-        else:
-            ca, cb = a.arena.payload[na], b.arena.payload[nb]
-            result = len(ca) == len(cb) and all(eq(x, y) for x, y in zip(ca, cb))
-        equal[na, nb] = result
-        return result
+    def root_class(p: QbfProblem) -> int:
+        kinds, payload = p.arena.kinds, p.arena.payload
+        canon: dict[int, int] = {}
+        for n in topological(p.arena, p.matrix):
+            kind = kinds[n]
+            if kind == LIT:
+                lit = payload[n]
+                key = (LIT, lit > 0, p.var_names[abs(lit)])
+            else:
+                key = (kind, tuple(canon[c] for c in payload[n]))
+            canon[n] = classes.setdefault(key, len(classes))
+        return canon[p.matrix]
 
-    return eq(a.matrix, b.matrix)
+    return root_class(a) == root_class(b)

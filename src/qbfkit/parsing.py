@@ -7,9 +7,11 @@ Parsing produces a closed prenex NNF `QbfProblem`:
   expanded once per polarity, so a gate used several times stays one node
   per polarity,
 * gate quantifiers (non-prenex input) are hoisted to the end of the prefix in
-  depth-first order, with bound variables renamed apart per occurrence; a
-  gate that hoists a quantifier, or is used where a gate quantifier binds a
-  name, is expanded afresh at each use instead,
+  depth-first order, with bound variables renamed apart per expansion; a
+  gate that hoists a quantifier is expanded once per polarity like any
+  other, which is sound because every use of it in NNF is monotone and its
+  hoisted block sits inside every variable it reads; a gate used where a
+  gate quantifier binds a name is expanded afresh at each use instead,
 * free variables - declared via `free(...)` or simply never quantified - are
   closed under an outermost existential block,
 * adjacent blocks with the same quantifier are merged.
@@ -191,8 +193,10 @@ class _QcirReader:
 
     def _expand_gate(self, name: str, negate: bool) -> int:
         # Outside every gate quantifier a gate's expansion depends only on
-        # the gate and the polarity, unless it hoists a quantifier of its own
-        # (whose variables are renamed apart per occurrence).
+        # the gate and the polarity. That holds for a gate that hoists a
+        # quantifier too: its block is the same function of the outer
+        # variables at every use, and in NNF each use is monotone, so one
+        # hoisted copy per polarity serves them all.
         shareable = not self.bound
         if shareable:
             node = self.expanded.get((name, negate))
@@ -202,14 +206,13 @@ class _QcirReader:
             line = self.gates[name][2]
             raise ParseError(f"line {line}: gate {name!r} is defined cyclically")
         op, args, _, number = self.gates[name]
-        hoisted = len(self.hoisted)
         self.expanding.add(name)
         try:
             node = self._expand_body(op, args, negate)
         finally:
             self.expanding.discard(name)
         self.node_gate.setdefault(node, number)
-        if shareable and len(self.hoisted) == hoisted:
+        if shareable:
             self.expanded[name, negate] = node
         return node
 

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from qbfkit.abstraction import (ScopeAbstraction, boundary_interface,
-                                compute_influence)
-from qbfkit.formula import AND, LIT, OR, InternalError, Quantifier
+from qbfkit.abstraction import ScopeAbstraction, compute_influence
+from qbfkit.formula import AND, LIT, OR, InternalError, Quantifier, subformulas
 from qbfkit.parsing import parse_qcir
 
 from helpers import random_problem
@@ -74,9 +73,23 @@ def test_influence_spans_example():
 def test_boundary_interfaces_example():
     problem, psi1, psi2 = example_problem()
     influence = compute_influence(problem)
-    assert boundary_interface(problem, influence, 0) == ()
-    assert boundary_interface(problem, influence, 1) == (psi1, psi2)
-    assert boundary_interface(problem, influence, 2) == ()
+    assert influence.interface == ((), (psi1, psi2), ())
+
+
+def test_interface_table_is_the_preorder_filter_by_straddles():
+    rng = random.Random(23)
+    problems = [example_problem()[0], parse_qcir(PARITY2_QCIR)]
+    while len(problems) < 200:
+        problem = random_problem(rng)
+        if problem.matrix_constant() is None:
+            problems.append(problem)
+    for problem in problems:
+        influence = compute_influence(problem)
+        preorder = subformulas(problem.arena, problem.matrix)
+        assert len(influence.interface) == problem.scope_count + 1
+        for k, interface in enumerate(influence.interface):
+            assert interface == tuple(n for n in preorder
+                                      if influence.straddles(n, k))
 
 
 def test_universal_block_claim_clauses_example():
@@ -130,7 +143,7 @@ def test_parity_universal_block_clauses():
     root = problem.matrix
     c1, c2 = problem.arena.payload[root]
     influence = compute_influence(problem)
-    assert boundary_interface(problem, influence, 1) == (root, c1, c2)
+    assert influence.interface[1] == (root, c1, c2)
     block = ScopeAbstraction.build(problem, 2)
     z = 3
     expected = {

@@ -1,5 +1,9 @@
 """Tests for the NNF arena, normalization, and problem structure."""
 
+import itertools
+import random
+import time
+
 import pytest
 
 from qbfkit.formula import (
@@ -16,6 +20,8 @@ from qbfkit.formula import (
     problems_equal,
     subformulas,
 )
+
+from helpers import random_nnf
 
 
 def build_example(arena: Arena) -> int:
@@ -140,3 +146,58 @@ def test_node_vars_and_problem_equality():
     renamed = make_problem()
     renamed.var_names[2] = "z"
     assert not problems_equal(problem, renamed)
+
+
+def same_structure(arena: Arena, a: int, b: int) -> bool:
+    """Reference structural compare: kinds, literals and children in order."""
+    if arena.kinds[a] != arena.kinds[b]:
+        return False
+    if arena.kinds[a] == LIT:
+        return arena.payload[a] == arena.payload[b]
+    ca, cb = arena.payload[a], arena.payload[b]
+    return len(ca) == len(cb) and all(same_structure(arena, x, y)
+                                      for x, y in zip(ca, cb))
+
+
+def test_class_ids_match_structural_equality():
+    rng = random.Random(606)
+    for _ in range(40):
+        arena = Arena()
+        arena.const(True)
+        arena.const(False)
+        for _ in range(4):
+            random_nnf(rng, arena, rng.randint(1, 3), rng.randint(2, 16))
+        arena.const(True)
+        for a, b in itertools.combinations_with_replacement(range(len(arena)), 2):
+            assert (arena.canon[a] == arena.canon[b]) == \
+                same_structure(arena, a, b), (a, b)
+
+
+def deep_chain(arena: Arena, depth: int) -> int:
+    """x1 & (x2 | (x3 & ...)), alternating so `build` flattens nothing."""
+    node = arena.lit(depth + 1)
+    for i in range(depth, 0, -1):
+        node = arena.build(AND if i % 2 else OR, [arena.lit(i), node])
+    return node
+
+
+def test_deep_equal_chains_collapse_to_one_child():
+    start = time.perf_counter()
+    arena = Arena()
+    a = deep_chain(arena, 3000)
+    b = deep_chain(arena, 3000)
+    assert a != b and arena.kinds[a] == AND
+    assert arena.build(OR, [a, b]) == a
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deep_equal_chain_problems_are_equal():
+    start = time.perf_counter()
+    problems = []
+    for _ in range(2):
+        arena = Arena()
+        matrix = deep_chain(arena, 3000)
+        prefix = [Scope(Quantifier.EXISTS, tuple(range(1, 3002)))]
+        problems.append(QbfProblem.make(arena, prefix, matrix))
+    assert problems_equal(*problems)
+    assert time.perf_counter() - start < 1.0

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import random_problem
+from helpers import brute_force, random_problem
 from qbfkit.formula import (AND, FALSE, LIT, OR, Arena, QbfProblem, Quantifier,
                             Scope, evaluate, problems_equal)
 from qbfkit.parsing import (ParseError, detect_format, load_problem, parse_problem,
@@ -109,14 +109,18 @@ def test_negated_gate_quantifier_flips():
     assert p.arena.kinds[p.matrix] == OR
 
 
-def test_shared_quantifier_gate_renamed_apart():
+def test_shared_quantifier_gate_hoisted_once_per_polarity():
     text = ("forall(x)\noutput(g0)\ng0 = and(g, g)\n"
             "g = exists(z; g2)\ng2 = or(x, z)\n")
     p = parse_qcir(text)
     assert [s.quantifier for s in p.prefix] == [Quantifier.FORALL, Quantifier.EXISTS]
-    hoisted = p.prefix[1].vars
-    assert len(hoisted) == 2
-    assert len({p.var_names[v] for v in hoisted}) == 2  # distinct names
+    assert names_of(p, p.prefix[1].vars) == ["z"]  # both uses are positive
+    # the same text with one named copy of the gate per use hoists two
+    # variables, and has the same truth value
+    copies = parse_qcir("forall(x)\noutput(g0)\ng0 = and(g, h)\n"
+                        "g = exists(z; g2)\nh = exists(z; g2)\ng2 = or(x, z)\n")
+    assert len(copies.prefix[1].vars) == 2
+    assert brute_force(p) == brute_force(copies) is True
 
 
 def test_qcir_errors():

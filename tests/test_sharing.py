@@ -1,5 +1,6 @@
 """Gates shared by name in QCIR stay one node from parsing to verification."""
 
+import itertools
 import random
 import time
 
@@ -207,6 +208,138 @@ def test_gate_hoisting_a_quantifier_is_renamed_apart_per_use():
                           "top = or(q1, -q2)\n")
     assert problems_equal(shared, unshared)
     assert sorted(shared.var_names.values()) == ["w", "w_1", "x"]
+
+
+def random_hoisting_qcir(rng):
+    """A random QCIR text reusing one quantifier gate in both polarities.
+
+    Returns the text, the same formula written as a tree (one named copy of
+    a gate per reference to it, so the parser expands every use of the
+    quantifier gate apart), and the truth value computed straight from the
+    gate definitions, gate quantifiers included, without qbfkit.
+    """
+    names = [f"v{i}" for i in range(1, rng.randint(1, 3) + 1)]
+    order = names[:]
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        take = rng.randint(1, len(order))
+        blocks.append((rng.choice(("exists", "forall")), order[:take]))
+        order = order[take:]
+    gates = {
+        "b": (rng.choice(("and", "or", "xor")),
+              [("y", rng.random() < 0.4), (rng.choice(names), rng.random() < 0.4)]),
+        "q": (rng.choice(("exists", "forall")), [("b", False)]),
+        # an xor reads q in both polarities; later gates may read it again
+        "g0": ("xor", [("q", False), (rng.choice(names), False)]),
+    }
+    for i in range(1, rng.randint(1, 3) + 1):
+        other = rng.choice(["q", f"g{i - 1}"] + names)
+        gates[f"g{i}"] = (rng.choice(("and", "or", "xor")),
+                          [(f"g{i - 1}", rng.random() < 0.4),
+                           (other, rng.random() < 0.4)])
+    out = f"g{i}"
+
+    def render(tree: bool) -> str:
+        lines = []
+        copies = itertools.count(1)
+        defined = set()
+
+        def ref(name: str) -> str:
+            if name not in gates:
+                return name
+            if tree:
+                label = f"{name}_{next(copies)}"
+            elif name in defined:
+                return name
+            else:
+                label = name
+            defined.add(label)
+            op, args = gates[name]
+            rendered = [("-" if neg else "") + ref(a) for a, neg in args]
+            if name == "q":
+                lines.append(f"{label} = {op}(y; {rendered[0]})")
+            else:
+                lines.append(f"{label} = {op}({', '.join(rendered)})")
+            return label
+
+        head = ["#QCIR-G14"] + [f"{q}({', '.join(vs)})" for q, vs in blocks]
+        head.append(f"output({ref(out)})")
+        return "\n".join(head + lines) + "\n"
+
+    def value(name, env):
+        if name in env:
+            return env[name]
+        op, args = gates[name]
+        if name == "q":
+            outcomes = (value("b", {**env, "y": bit}) for bit in (False, True))
+            return any(outcomes) if op == "exists" else all(outcomes)
+        bits = [value(a, env) != neg for a, neg in args]
+        if op == "and":
+            return all(bits)
+        if op == "or":
+            return any(bits)
+        return bits[0] != bits[1]
+
+    quantified = [(q, v) for q, vs in blocks for v in vs]
+
+    def truth(index, env):
+        if index == len(quantified):
+            return value(out, env)
+        q, v = quantified[index]
+        outcomes = (truth(index + 1, {**env, v: bit}) for bit in (False, True))
+        return any(outcomes) if q == "exists" else all(outcomes)
+
+    return render(False), render(True), truth(0, {})
+
+
+def test_hoisting_gate_memoized_per_polarity_agrees_with_per_use_copies():
+    rng = random.Random(20261018)
+    outcomes = set()
+    fewer = 0
+    for _ in range(300):
+        while True:
+            memo_text, tree_text, expected = random_hoisting_qcir(rng)
+            per_use = parse_qcir(tree_text)
+            if len(per_use.var_names) <= 12:  # keeps brute force cheap
+                break
+        memo = parse_qcir(memo_text)
+        assert brute_force(memo) == brute_force(per_use) == expected, memo_text
+        # one hoisted copy of y per polarity at most
+        assert sum(name.startswith("y") for name in memo.var_names.values()) <= 2
+        assert len(memo.var_names) <= len(per_use.var_names)
+        fewer += len(memo.var_names) < len(per_use.var_names)
+        reduced, info = preprocess(memo)
+        value, trace, _ = solve_abstraction(reduced)
+        assert value == expected, memo_text
+        circuit = build_certificate(memo, reduced, info.eliminated, trace,
+                                    value)
+        assert verify(memo, circuit).valid, memo_text
+        outcomes.add(expected)
+    assert outcomes == {False, True}
+    assert fewer >= 150
+
+
+def hoisting_chain(levels: int) -> str:
+    """A quantifier gate under a chain of xors, each reading the previous
+    gate in both polarities: expanded per use, it doubles at every level."""
+    lines = ["#QCIR-G14", "exists(x)", f"output(g{levels})",
+             "q = exists(y; t)", "t = and(y, x)", "g0 = or(q, x)"]
+    lines += [f"g{i} = xor(g{i - 1}, x)" for i in range(1, levels + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_hoisting_gate_chain_of_two_hundred_levels_stays_linear():
+    start = time.perf_counter()
+    problem = parse_qcir(hoisting_chain(200))
+    assert len(problem.arena) <= 11 * 200
+    assert len(problem.var_names) == 3
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    assert value is True  # g200 is x xor'ed with x an even number of times
+    circuit = build_certificate(problem, reduced, info.eliminated, trace, value)
+    assert verify(problem, circuit).valid
+    assert time.perf_counter() - start < 2.0
 
 
 def test_certify_trace_names_gates_of_the_reduced_arena(tmp_path, capsys):
