@@ -27,7 +27,7 @@ from .abstraction import InfluenceMap, compute_influence
 from .aiger import FALSE_LIT, TRUE_LIT, Circuit
 from .aiger import negate as aig_not
 from .formula import (AND, LIT, OR, TRUE, Arena, InternalError, QbfProblem,
-                      Quantifier, dependencies)
+                      Quantifier, dependencies, postorder)
 from .parsing import ParseError
 from .sat import Solver, encode_nnf
 from .solver import ProofPair, ProofTrace
@@ -90,29 +90,25 @@ def _encode_formula(circuit: Circuit, arena: Arena, node: int,
     """Encode an NNF subformula into the circuit, substituting variables.
 
     `var_lit` maps each variable of the subformula to a circuit literal.
-    `encoded` maps nodes of `arena` already encoded to their circuit
-    literal. Reusing it across calls is sound as long as no entry of
+    `encoded` memoizes the circuit literal of every node of `arena` encoded
+    so far, across calls. Reusing it is sound as long as no entry of
     `var_lit` that an encoded node reads is changed afterwards.
     """
-    out = encoded.get(node)
-    if out is not None:
-        return out
-    kind = arena.kinds[node]
-    if kind == LIT:
-        lit = arena.payload[node]
-        base = var_lit[abs(lit)]
-        out = base if lit > 0 else aig_not(base)
-    elif kind in (AND, OR):
-        child_lits = [_encode_formula(circuit, arena, c, var_lit, encoded)
-                      for c in arena.payload[node]]
-        if kind == AND:
-            out = circuit.and_many(child_lits)
+    kinds, payload = arena.kinds, arena.payload
+    for n in postorder(arena, node, encoded):
+        kind = kinds[n]
+        if kind == LIT:
+            lit = payload[n]
+            base = var_lit[abs(lit)]
+            out = base if lit > 0 else aig_not(base)
+        elif kind == AND:
+            out = circuit.and_many([encoded[c] for c in payload[n]])
+        elif kind == OR:
+            out = circuit.or_many([encoded[c] for c in payload[n]])
         else:
-            out = circuit.or_many(child_lits)
-    else:
-        out = TRUE_LIT if kind == TRUE else FALSE_LIT
-    encoded[node] = out
-    return out
+            out = TRUE_LIT if kind == TRUE else FALSE_LIT
+        encoded[n] = out
+    return encoded[node]
 
 
 def extract_functions(problem: QbfProblem, trace: ProofTrace,

@@ -116,9 +116,24 @@ def subformulas(arena: Arena, node: int) -> list[int]:
     return list(seen)
 
 
-def topological(arena: Arena, node: int) -> list[int]:
-    """The distinct nodes reachable from `node`, children before parents."""
-    return sorted(subformulas(arena, node))
+def postorder(arena: Arena, node: int, done=()) -> list[int]:
+    """The distinct nodes reachable from `node` without passing through
+    `done`, in the order a depth-first recursion memoized by `done` finishes
+    them: children before parents and in payload order, each node once."""
+    kinds, payload = arena.kinds, arena.payload
+    out: dict[int, None] = {}  # insertion-ordered set
+    stack = [] if node in done else [node]
+    while stack:
+        n = stack.pop()
+        if n < 0:  # finish ~n; a leaf finished twice keeps its first place
+            out[~n] = None
+        elif n not in out:
+            stack.append(~n)
+            if kinds[n] != LIT:  # constants have no children
+                for c in reversed(payload[n]):
+                    if c not in out and c not in done:
+                        stack.append(~c if kinds[c] == LIT else c)
+    return list(out)
 
 
 def node_vars(arena: Arena, node: int) -> set[int]:
@@ -134,7 +149,7 @@ def evaluate(arena: Arena, node: int, values) -> int:
     """
     kinds, payload = arena.kinds, arena.payload
     value: dict[int, int] = {}
-    for n in topological(arena, node):
+    for n in postorder(arena, node):
         kind = kinds[n]
         if kind == LIT:
             lit = payload[n]
@@ -259,7 +274,7 @@ def problems_equal(a: QbfProblem, b: QbfProblem) -> bool:
     def root_class(p: QbfProblem) -> int:
         kinds, payload = p.arena.kinds, p.arena.payload
         canon: dict[int, int] = {}
-        for n in topological(p.arena, p.matrix):
+        for n in postorder(p.arena, p.matrix):
             kind = kinds[n]
             if kind == LIT:
                 lit = payload[n]

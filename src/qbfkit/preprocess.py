@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .formula import (AND, FALSE, LIT, OR, TRUE, Arena, QbfProblem, Quantifier,
-                      Scope, merge_adjacent, subformulas)
+                      Scope, merge_adjacent, postorder, subformulas)
 
 
 @dataclass
@@ -36,33 +36,31 @@ def _rebuild(dst: Arena, src: Arena, node: int, subst: dict[int, bool],
              memo: dict[int, int]) -> int:
     """Copy a subformula applying a substitution; fold constants and clashes.
 
-    `memo` maps each source node already copied to its copy, so a shared
-    node is rebuilt once.
+    `memo` maps each source node already copied to its copy in `dst`, so a
+    shared node is copied once; the copy of `node` is returned.
     """
-    out = memo.get(node)
-    if out is not None:
-        return out
-    kind = src.kinds[node]
-    if kind == LIT:
-        lit = src.payload[node]
-        value = subst.get(abs(lit))
-        if value is None:
-            out = dst.lit(lit)
+    kinds, payload = src.kinds, src.payload
+    for n in postorder(src, node, memo):
+        kind = kinds[n]
+        if kind == LIT:
+            lit = payload[n]
+            value = subst.get(abs(lit))
+            if value is None:
+                out = dst.lit(lit)
+            else:
+                out = dst.const(value if lit > 0 else not value)
+        elif kind in (TRUE, FALSE):
+            out = dst.const(kind == TRUE)
         else:
-            out = dst.const(value if lit > 0 else not value)
-    elif kind in (TRUE, FALSE):
-        out = dst.const(kind == TRUE)
-    else:
-        out = dst.build(kind, [_rebuild(dst, src, c, subst, memo)
-                               for c in src.payload[node]])
-        out_kind = dst.kinds[out]
-        if out_kind in (AND, OR):
-            lits = {dst.payload[c] for c in dst.payload[out]
-                    if dst.kinds[c] == LIT}
-            if any(-l in lits for l in lits):
-                out = dst.const(out_kind == OR)
-    memo[node] = out
-    return out
+            out = dst.build(kind, [memo[c] for c in payload[n]])
+            out_kind = dst.kinds[out]
+            if out_kind in (AND, OR):
+                lits = {dst.payload[c] for c in dst.payload[out]
+                        if dst.kinds[c] == LIT}
+                if any(-l in lits for l in lits):
+                    out = dst.const(out_kind == OR)
+        memo[n] = out
+    return memo[node]
 
 
 def _forced_literals(arena: Arena, matrix: int) -> list[int]:

@@ -13,7 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .formula import AND, FALSE, LIT, OR, TRUE, Arena
+from .formula import AND, FALSE, LIT, TRUE, Arena, postorder
 
 _UNDEF = -1
 
@@ -376,41 +376,31 @@ def encode_nnf(solver: Solver, arena: Arena, node: int,
 
     `var_map` maps formula variables to solver variables and is extended on
     demand; entries may also be preset to arbitrary solver literals, which is
-    how certificate functions are substituted for variables. Each node gets
-    one gate variable, however many parents it has.
+    how certificate functions are substituted for variables. The literal of
+    each node is memoized, so a node gets one gate however many parents it has.
     """
-    return _encode(solver, arena, node, var_map, negate, {})
-
-
-def _encode(solver: Solver, arena: Arena, node: int, var_map: dict[int, int],
-            negate: bool, gate_of: dict[int, int]) -> int:
-    """`encode_nnf` below `node`; `gate_of` holds the nodes already encoded."""
-    out = gate_of.get(node)
-    if out is not None:
-        return out
-    kind = arena.kinds[node]
-    if kind == LIT:
-        lit = arena.payload[node]
-        if negate:
-            lit = -lit
-        v = abs(lit)
-        mapped = var_map.get(v)
-        if mapped is None:
-            mapped = solver.fresh_var()
-            var_map[v] = mapped
-        out = mapped if lit > 0 else -mapped
-    elif kind in (TRUE, FALSE):
-        t = solver.true_lit()
-        out = t if (kind == TRUE) != negate else -t
-    else:
-        out_kind = kind if not negate else (OR if kind == AND else AND)
-        child_lits = [_encode(solver, arena, c, var_map, negate, gate_of)
-                      for c in arena.payload[node]]
-        out = solver.fresh_var()
-        if out_kind == AND:
-            for cl in child_lits:
-                solver.add_clause([-out, cl])
+    kinds, payload = arena.kinds, arena.payload
+    gate_of: dict[int, int] = {}
+    for n in postorder(arena, node):
+        kind = kinds[n]
+        if kind == LIT:
+            lit = -payload[n] if negate else payload[n]
+            v = abs(lit)
+            mapped = var_map.get(v)
+            if mapped is None:
+                mapped = solver.fresh_var()
+                var_map[v] = mapped
+            out = mapped if lit > 0 else -mapped
+        elif kind in (TRUE, FALSE):
+            t = solver.true_lit()
+            out = t if (kind == TRUE) != negate else -t
         else:
-            solver.add_clause([-out] + child_lits)
-    gate_of[node] = out
-    return out
+            child_lits = [gate_of[c] for c in payload[n]]
+            out = solver.fresh_var()
+            if (kind == AND) != negate:
+                for cl in child_lits:
+                    solver.add_clause([-out, cl])
+            else:
+                solver.add_clause([-out] + child_lits)
+        gate_of[n] = out
+    return gate_of[node]

@@ -1,6 +1,7 @@
 """Tests for strategy extraction and certificate checking."""
 
 import random
+import time
 
 import pytest
 
@@ -8,10 +9,12 @@ from qbfkit.aiger import TRUE_LIT, Circuit, read_aiger, write_aiger
 from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
                             write_trace)
-from qbfkit.formula import InternalError
+from qbfkit.formula import (AND, OR, Arena, InternalError, QbfProblem,
+                            Quantifier, Scope, evaluate, problems_equal)
 from qbfkit.parsing import ParseError, parse_qcir, write_qcir
 from qbfkit.preprocess import preprocess
-from qbfkit.solver import ProofPair, ProofTrace, solve_abstraction
+from qbfkit.solver import (ProofPair, ProofTrace, solve_abstraction,
+                           solve_assignment)
 
 from helpers import brute_force, random_problem
 
@@ -294,3 +297,46 @@ def test_certificates_extend_across_preprocessing():
         assert result.status == "valid", (value, result, write_qcir(original))
         reduced_somewhere += bool(info.eliminated)
     assert reduced_somewhere
+
+
+# ----------------------------------------------------------------------
+# deep matrices
+
+
+def deep_xor_problem(depth: int):
+    """exists x1..x8 forall y . (y | D) & (-y | D'), with D an alternating
+    and/or chain `depth` deep over x1..x8 in both polarities and D' its NNF
+    negation. The problem is false; the Herbrand function for y is D."""
+    arena = Arena()
+    d, d_neg = arena.lit(1), arena.lit(-1)
+    for i in range(1, depth + 1):
+        v = i % 8 + 1
+        lit = v if (i // 8) % 2 == 0 else -v
+        op, dual = (AND, OR) if i % 2 else (OR, AND)
+        d = arena.build(op, [d, arena.lit(lit)])
+        d_neg = arena.build(dual, [d_neg, arena.lit(-lit)])
+    y = 9
+    matrix = arena.build(AND, [arena.build(OR, [arena.lit(y), d]),
+                               arena.build(OR, [arena.lit(-y), d_neg])])
+    prefix = [Scope(Quantifier.EXISTS, tuple(range(1, 9))),
+              Scope(Quantifier.FORALL, (y,))]
+    return QbfProblem.make(arena, prefix, matrix), d
+
+
+def test_deep_matrix_certifies_at_the_default_recursion_limit():
+    start = time.perf_counter()
+    problem, d = deep_xor_problem(3000)
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    assert value is False
+    circuit = read_aiger(write_aiger(build_certificate(
+        problem, reduced, info.eliminated, trace, value)))
+    assert verify(problem, circuit).status == "valid"
+    assert solve_assignment(problem)[0] is False
+    assert problems_equal(problem, problem)
+    rng = random.Random(3000)
+    for _ in range(8):
+        xs = {v: rng.random() < 0.5 for v in range(1, 9)}
+        herbrand = circuit.evaluate({f"{v}": xs[v] for v in xs})["9"]
+        assert herbrand == bool(evaluate(problem.arena, d, xs))
+    assert time.perf_counter() - start < 2.0

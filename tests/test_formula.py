@@ -17,6 +17,7 @@ from qbfkit.formula import (
     dependencies,
     evaluate,
     node_vars,
+    postorder,
     problems_equal,
     subformulas,
 )
@@ -79,6 +80,52 @@ def test_subformulas_preorder():
     order = subformulas(arena, root)
     kinds = [arena.kinds[n] for n in order]
     assert kinds == [OR, LIT, AND, LIT, LIT]
+
+
+def finishing_order(arena: Arena, node: int, done) -> list[int]:
+    """Reference: the order in which a recursion memoized by `done` (plus the
+    nodes it has finished) finishes nodes, children in payload order."""
+    memo, out = set(done), []
+
+    def visit(n):
+        if n in memo:
+            return
+        if arena.kinds[n] != LIT:
+            for c in arena.payload[n]:
+                visit(c)
+        memo.add(n)
+        out.append(n)
+
+    visit(node)
+    return out
+
+
+def random_dag(rng, arena: Arena) -> int:
+    """Random trees from `random_nnf`, joined by gates that reuse them."""
+    nvars = rng.randint(1, 4)
+    pool = [random_nnf(rng, arena, nvars, rng.randint(1, 10))
+            for _ in range(rng.randint(2, 4))]
+    for _ in range(rng.randint(1, 6)):
+        kids = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+        pool.append(arena.build(rng.choice((AND, OR)), kids))
+    return pool[-1]
+
+
+def test_postorder_is_the_recursive_finishing_order():
+    rng = random.Random(707)
+    for _ in range(300):
+        arena = Arena()
+        root = random_dag(rng, arena)
+        nodes = subformulas(arena, root)
+        for k in (0, 1, rng.randint(0, len(nodes))):
+            done = dict.fromkeys(rng.sample(nodes, k))
+            assert postorder(arena, root, done) == \
+                finishing_order(arena, root, done)
+        assert postorder(arena, root) == finishing_order(arena, root, ())
+    arena = Arena()
+    t = arena.const(True)
+    assert postorder(arena, t) == [t]
+    assert postorder(arena, t, {t: None}) == []
 
 
 def test_evaluate_requires_total_assignment():

@@ -2,10 +2,9 @@
 
 import random
 
-import numpy as np
 import pytest
 
-from qbfkit.formula import Arena, evaluate
+from qbfkit.formula import AND, OR, Arena, evaluate
 from qbfkit.sat import Solver, SolveResult, encode_nnf
 
 
@@ -27,17 +26,13 @@ def random_cnf(rng, nvars, nclauses, width=3):
     return clauses
 
 
-def cnf_models_numpy(nvars, clauses):
-    """Boolean vector over all 2**nvars assignments: which satisfy the CNF."""
-    rows = np.arange(2 ** nvars, dtype=np.int64)
-    bits = [(rows >> (v - 1)) & 1 for v in range(nvars + 1)]
-    sat = np.ones(2 ** nvars, dtype=bool)
-    for clause in clauses:
-        cl = np.zeros(2 ** nvars, dtype=bool)
-        for lit in clause:
-            cl |= bits[abs(lit)] == (1 if lit > 0 else 0)
-        sat &= cl
-    return sat
+def cnf_models(nvars, clauses):
+    """Truth table over all 2**nvars assignments (bit v-1 of the row is
+    variable v): which rows satisfy the CNF."""
+    return [all(any(((row >> (abs(lit) - 1)) & 1) == (lit > 0)
+                    for lit in clause)
+                for clause in clauses)
+            for row in range(2 ** nvars)]
 
 
 def check_model(res, clauses):
@@ -179,10 +174,10 @@ def test_against_truth_table_oracle(seed=1):
     for _ in range(120):
         nv = rng.randint(2, 8)
         clauses = random_cnf(rng, nv, rng.randint(1, 4 * nv))
-        expected = cnf_models_numpy(nv, clauses)
+        expected = cnf_models(nv, clauses)
         s = new_solver(nv, clauses)
         res = s.solve()
-        assert res.sat == bool(expected.any())
+        assert res.sat == any(expected)
         if res.sat:
             check_model(res, clauses)
             row = sum((res.model[v] << (v - 1)) for v in range(1, nv + 1))
@@ -197,10 +192,10 @@ def test_assumption_results_match_conditioned_table(seed=2):
         assumps = [v if rng.random() < 0.5 else -v
                    for v in rng.sample(range(1, nv + 1), rng.randint(1, nv))]
         conditioned = clauses + [[a] for a in assumps]
-        expected = cnf_models_numpy(nv, conditioned)
+        expected = cnf_models(nv, conditioned)
         s = new_solver(nv, clauses)
         res = s.solve(assumps)
-        assert res.sat == bool(expected.any())
+        assert res.sat == any(expected)
 
 
 def test_determinism():
@@ -274,6 +269,29 @@ def test_encode_nnf_random(seed=3):
         node = random_nnf(rng, arena, nvars, rng.randint(2, 12))
         encoded_agrees_with_evaluate(arena, node, nvars,
                                      negate=rng.random() < 0.5)
+
+
+def test_encode_nnf_numbering_golden():
+    # Gate variables and clauses follow the order in which a depth-first
+    # walk finishes nodes (children in payload order), not ascending ids:
+    # `shared` is created first but finishes inside `right`, and `right`
+    # finishes before `left`. The numbering decides later SAT search.
+    arena = Arena()
+    shared = arena.build(OR, [arena.lit(2), arena.lit(-3)])
+    left = arena.build(AND, [arena.lit(1), shared])
+    right = arena.build(AND, [shared, arena.lit(4), arena.lit(-1)])
+    root = arena.build(OR, [right, left])
+    s = Solver()
+    var_map = {}
+    lits = [encode_nnf(s, arena, root, var_map),
+            encode_nnf(s, arena, root, var_map, negate=True),
+            encode_nnf(s, arena, arena.const(True), var_map),
+            encode_nnf(s, arena, arena.const(False), var_map, negate=True)]
+    assert lits == [8, 12, 13, 13]
+    assert var_map == {2: 1, 3: 2, 4: 4, 1: 5}
+    assert s.db == [(-3, 1, -2), (-6, 3), (-6, 4), (-6, -5), (-7, 5), (-7, 3),
+                    (-8, 6, 7), (-9, -1), (-9, 2), (-10, 9, -4, 5),
+                    (-11, -5, 9), (-12, 10), (-12, 11), (13,)]
 
 
 def test_encode_nnf_substitution():
