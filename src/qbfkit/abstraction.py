@@ -27,7 +27,11 @@ of constraints per block. That is sound because a node's value, and the part
 of it each block can see, depend only on its variables, never on the parent
 it is reached from: the copies an unrolled tree would hold get identical
 constraints, so one variable stands for all of them, and a grant, claim or
-refinement naming the node means the same thing wherever it occurs.
+refinement naming the node means the same thing wherever it occurs. The
+same argument covers copies that preprocessing merged into one node because
+they are structurally equal: they have equal values under every assignment
+and equal `min_scope` and `max_scope`, so they too would get identical
+constraints.
 Children are created before their parents, so ascending node ids are a
 topological order: `compute_influence` relies on it to see every child
 before its parent, and `maximize_claims` to raise child claims before the

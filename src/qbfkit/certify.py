@@ -275,7 +275,8 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
 # proof trace serialization
 
 def write_trace(problem: QbfProblem, trace: ProofTrace) -> str:
-    """Render a proof trace; `g` lines relate node ids to source gates."""
+    """Render a proof trace; `g` lines relate node ids to source gates, one
+    line per node, naming the first gate when several were merged into it."""
     lines = []
     for node in sorted(problem.node_gate):
         lines.append(f"g {node} {problem.node_gate[node]}")

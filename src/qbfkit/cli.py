@@ -38,8 +38,9 @@ def _reduce(problem, args):
     if args.no_preprocess:
         return problem, PreprocessInfo()
     reduced, info = preprocess(problem)
-    log.info("preprocessing eliminated %d of %d variables in %d rounds",
-             len(info.eliminated), len(problem.all_vars()), info.rounds)
+    log.info("preprocessing eliminated %d of %d variables in %d rounds, "
+             "%d -> %d nodes", len(info.eliminated), len(problem.all_vars()),
+             info.rounds, len(problem.arena), len(reduced.arena))
     return reduced, info
 
 

@@ -36,7 +36,10 @@ class Arena:
     class id (`canon`) when it is created, from a per-arena table keyed by
     its literal, or by its kind and its children's class ids: two nodes get
     the same class exactly when they are structurally equal. Nodes of one
-    class are not merged; each `lit` and `build` call still appends a node.
+    class are not merged here; each `lit` and `build` call still appends a
+    node. Merging happens in the passes that read a parsed matrix:
+    preprocessing copies one node per class, and `encode_nnf` encodes one
+    gate per class.
     A node's children always exist before it, so ascending ids are a
     topological order. Constants may exist in the arena but `build` folds
     them away, so they never remain inside a normalized matrix.

@@ -368,25 +368,31 @@ def write_qcir(problem: QbfProblem) -> str:
     prefix = "_g"
     while any(name.startswith(prefix) for name in taken):
         prefix = "_" + prefix
+    # one gate per occurrence: names are numbered in preorder, lines are
+    # written in postorder, over an explicit stack
+    kinds, payload = arena.kinds, arena.payload
+    connective = {AND: AND, OR: OR, TRUE: AND, FALSE: OR}  # constants: empty
     counter = itertools.count(1)
     gate_lines: list[str] = []
-
-    def render(node: int) -> str:
-        kind = arena.kinds[node]
-        if kind == LIT:
-            lit = arena.payload[node]
-            return names[lit] if lit > 0 else "-" + names[-lit]
-        gname = f"{prefix}{next(counter)}"
-        if kind == TRUE:
-            gate_lines.append(f"{gname} = and()")
-        elif kind == FALSE:
-            gate_lines.append(f"{gname} = or()")
+    tokens: list[str] = []  # rendered operands not yet used by a gate line
+    stack: list = [problem.matrix]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:  # every operand of this gate is rendered
+            gname, op, arity = item
+            args = tokens[len(tokens) - arity:]
+            del tokens[len(tokens) - arity:]
+            gate_lines.append(f"{gname} = {op}({', '.join(args)})")
+            tokens.append(gname)
+        elif kinds[item] == LIT:
+            lit = payload[item]
+            tokens.append(names[lit] if lit > 0 else "-" + names[-lit])
         else:
-            args = ", ".join(render(c) for c in arena.payload[node])
-            gate_lines.append(f"{gname} = {kind}({args})")
-        return gname
-
-    token = render(problem.matrix)
+            children = payload[item]
+            stack.append((f"{prefix}{next(counter)}", connective[kinds[item]],
+                          len(children)))
+            stack.extend(reversed(children))
+    token = tokens.pop()
     lines = ["#QCIR-G14"]
     for scope in problem.prefix:
         keyword = "exists" if scope.quantifier is Quantifier.EXISTS else "forall"

@@ -36,11 +36,18 @@ def _rebuild(dst: Arena, src: Arena, node: int, subst: dict[int, bool],
              memo: dict[int, int]) -> int:
     """Copy a subformula applying a substitution; fold constants and clashes.
 
-    `memo` maps each source node already copied to its copy in `dst`, so a
-    shared node is copied once; the copy of `node` is returned.
+    `memo` maps each source node copied to its copy in `dst`. Copies are
+    memoized per structural class, on both sides: a shared node, every
+    structurally equal copy of it, and every copy that the substitution made
+    equal to it become one node of `dst`. The copy of `node` is returned.
     """
-    kinds, payload = src.kinds, src.payload
+    kinds, payload, canon = src.kinds, src.payload, src.canon
+    first: dict[int, int] = {}  # source class id -> its copy
+    kept: dict[int, int] = {}  # dst class id -> first copy of that class
     for n in postorder(src, node, memo):
+        if canon[n] in first:
+            memo[n] = first[canon[n]]
+            continue
         kind = kinds[n]
         if kind == LIT:
             lit = payload[n]
@@ -59,7 +66,7 @@ def _rebuild(dst: Arena, src: Arena, node: int, subst: dict[int, bool],
                         if dst.kinds[c] == LIT}
                 if any(-l in lits for l in lits):
                     out = dst.const(out_kind == OR)
-        memo[n] = out
+        memo[n] = first[canon[n]] = kept.setdefault(dst.canon[out], out)
     return memo[node]
 
 
@@ -139,7 +146,9 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
 
 def _carry_gates(node_gate: dict[int, int],
                  rounds: list[dict[int, int]]) -> dict[int, int]:
-    """Gate provenance of the rebuilt nodes; the first gate per node wins."""
+    """Gate provenance of the rebuilt nodes. Several gates can map to one
+    node (a gate that folds into another, or merged copies); the first one
+    wins."""
     out: dict[int, int] = {}
     for node, gate in node_gate.items():
         for copies in rounds:

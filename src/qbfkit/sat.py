@@ -376,12 +376,15 @@ def encode_nnf(solver: Solver, arena: Arena, node: int,
 
     `var_map` maps formula variables to solver variables and is extended on
     demand; entries may also be preset to arbitrary solver literals, which is
-    how certificate functions are substituted for variables. The literal of
-    each node is memoized, so a node gets one gate however many parents it has.
+    how certificate functions are substituted for variables. The literal is
+    memoized per structural class (`arena.canon`), so a node gets one gate
+    however many parents it has, and structurally equal nodes share it.
     """
-    kinds, payload = arena.kinds, arena.payload
-    gate_of: dict[int, int] = {}
+    kinds, payload, canon = arena.kinds, arena.payload, arena.canon
+    gate_of: dict[int, int] = {}  # class id -> literal
     for n in postorder(arena, node):
+        if canon[n] in gate_of:
+            continue
         kind = kinds[n]
         if kind == LIT:
             lit = -payload[n] if negate else payload[n]
@@ -395,12 +398,12 @@ def encode_nnf(solver: Solver, arena: Arena, node: int,
             t = solver.true_lit()
             out = t if (kind == TRUE) != negate else -t
         else:
-            child_lits = [gate_of[c] for c in payload[n]]
+            child_lits = [gate_of[canon[c]] for c in payload[n]]
             out = solver.fresh_var()
             if (kind == AND) != negate:
                 for cl in child_lits:
                     solver.add_clause([-out, cl])
             else:
                 solver.add_clause([-out] + child_lits)
-        gate_of[n] = out
-    return gate_of[node]
+        gate_of[canon[n]] = out
+    return gate_of[canon[node]]

@@ -37,6 +37,11 @@ def random_problem(rng, max_vars=6, max_budget=14, impure=False):
                 (pos if lit > 0 else neg).add(abs(lit))
         if pos == neg:
             break
+    return QbfProblem.make(arena, random_prefix(rng, nvars), matrix)
+
+
+def random_prefix(rng, nvars):
+    """Variables 1..nvars in random order, cut into random blocks."""
     order = list(range(1, nvars + 1))
     rng.shuffle(order)
     scopes = []
@@ -45,7 +50,7 @@ def random_problem(rng, max_vars=6, max_budget=14, impure=False):
         q = Quantifier.EXISTS if rng.random() < 0.5 else Quantifier.FORALL
         scopes.append(Scope(q, tuple(order[:take])))
         order = order[take:]
-    return QbfProblem.make(arena, merge_adjacent(scopes), matrix)
+    return merge_adjacent(scopes)
 
 
 def brute_force(problem):

@@ -10,7 +10,8 @@ from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
                             write_trace)
 from qbfkit.formula import (AND, OR, Arena, InternalError, QbfProblem,
-                            Quantifier, Scope, evaluate, problems_equal)
+                            Quantifier, Scope, evaluate, problems_equal,
+                            subformulas)
 from qbfkit.parsing import ParseError, parse_qcir, write_qcir
 from qbfkit.preprocess import preprocess
 from qbfkit.solver import (ProofPair, ProofTrace, solve_abstraction,
@@ -340,3 +341,17 @@ def test_deep_matrix_certifies_at_the_default_recursion_limit():
         herbrand = circuit.evaluate({f"{v}": xs[v] for v in xs})["9"]
         assert herbrand == bool(evaluate(problem.arena, d, xs))
     assert time.perf_counter() - start < 2.0
+
+
+def test_deep_matrix_writes_as_qcir():
+    problem, _ = deep_xor_problem(3000)
+    text = write_qcir(problem)
+    # the matrix is a tree, so one gate line per and/or node
+    arena = problem.arena
+    gates = [n for n in subformulas(arena, problem.matrix)
+             if arena.kinds[n] in (AND, OR)]
+    gate_lines = [line for line in text.splitlines() if " = " in line]
+    assert len(gate_lines) == len(gates) > 6000
+    assert text.splitlines()[3] == "output(_g1)"
+    assert gate_lines[-1].startswith("_g1 = and(")
+

@@ -1,6 +1,7 @@
 """Tests for the command line interface."""
 
 import csv
+import logging
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_solve_reports_false(parity_path, capsys):
                            "--algorithm", algorithm)
         assert code == 20
         assert out == "r FALSE\n"
+
+
+def test_verbose_reports_nodes_before_and_after_preprocessing(
+        tmp_path, capsys, caplog):
+    # tree text of qparity(4): every gate use written out as its own copy
+    path = tmp_path / "qparity4.qcir"
+    path.write_text(write_qcir(gen_qparity(4)))
+    caplog.set_level(logging.INFO, logger="qbfkit")
+    code, _, _ = run(capsys, "-v", "solve", str(path))
+    assert code == 20
+    assert "eliminated 0 of 5 variables in 1 rounds, 65 -> 29 nodes" \
+        in caplog.text
 
 
 def test_solve_missing_file(tmp_path, capsys):

@@ -255,6 +255,50 @@ def test_qdimacs_round_trip_is_stable():
     assert text == write_qdimacs(parse_qdimacs(text))
 
 
+def recursive_write_qcir(problem):
+    """Reference writer: one gate per occurrence, named on entry and written
+    on exit of a recursion over the matrix."""
+    arena, names = problem.arena, problem.var_names
+    prefix = "_g"
+    while any(names[v].startswith(prefix) for v in problem.all_vars()):
+        prefix = "_" + prefix
+    counter = itertools.count(1)
+    gate_lines = []
+
+    def render(node):
+        kind = arena.kinds[node]
+        if kind == LIT:
+            lit = arena.payload[node]
+            return names[lit] if lit > 0 else "-" + names[-lit]
+        gname = f"{prefix}{next(counter)}"
+        args = ", ".join(render(c) for c in arena.payload[node])
+        connective = {"true": "and", "false": "or"}.get(kind, kind)
+        gate_lines.append(f"{gname} = {connective}({args})")
+        return gname
+
+    token = render(problem.matrix)
+    lines = ["#QCIR-G14"]
+    for scope in problem.prefix:
+        keyword = "exists" if scope.quantifier is Quantifier.EXISTS else "forall"
+        lines.append(f"{keyword}({', '.join(names[v] for v in scope.vars)})")
+    return "\n".join(lines + [f"output({token})"] + gate_lines) + "\n"
+
+
+def test_write_qcir_matches_the_recursive_writer():
+    rng = random.Random(360)
+    for _ in range(200):
+        p = random_problem(rng, max_vars=7, max_budget=40)
+        if rng.random() < 0.2:  # a name that forces a longer gate prefix
+            p.var_names[p.all_vars()[0]] = "_g1"
+        assert write_qcir(p) == recursive_write_qcir(p)
+    for value in (True, False):
+        arena = Arena()
+        arena.lit(1)
+        p = QbfProblem.make(arena, [Scope(Quantifier.EXISTS, (1,))],
+                            arena.const(value))
+        assert write_qcir(p) == recursive_write_qcir(p)
+
+
 def test_qdimacs_to_qcir_round_trip():
     p = parse_qdimacs(GOLDEN_QDIMACS)
     again = parse_qcir(write_qcir(p))

@@ -3,8 +3,10 @@
 import random
 
 from helpers import brute_force, random_problem
-from qbfkit.formula import Quantifier, problems_equal
-from qbfkit.parsing import parse_qcir, parse_qdimacs
+from qbfkit.bench import gen_qparity
+from qbfkit.formula import (AND, OR, Arena, QbfProblem, Quantifier, Scope,
+                            problems_equal, subformulas)
+from qbfkit.parsing import parse_qcir, parse_qdimacs, write_qcir
 from qbfkit.preprocess import preprocess
 
 
@@ -108,3 +110,39 @@ def test_parity_formula_passes_through_unchanged():
     assert info.eliminated == {}
     assert reduced.matrix_constant() is None
     assert problems_equal(p, reduced)
+
+
+def test_tree_text_of_qparity_reduces_to_its_dag():
+    # write_qcir writes one gate per occurrence; preprocessing copies one
+    # node per structural class, which recovers the generator's 253 nodes
+    p = parse_qcir(write_qcir(gen_qparity(32)))
+    assert len(p.arena) == 4097
+    reduced, info = preprocess(p)
+    assert info.eliminated == {}
+    assert len(reduced.arena) == 253
+
+
+def test_copies_made_equal_by_substitution_are_merged():
+    # y and z are pure existentials set to true, which turns x & y & w and
+    # x & z & w into two copies of x & w under different parents
+    arena = Arena()
+    x, y, z, w, q, r = (arena.lit(v) for v in range(1, 7))
+    matrix = arena.build(AND, [
+        arena.build(OR, [arena.build(AND, [x, y, w]), q]),
+        arena.build(OR, [arena.build(AND, [x, z, w]), r]),
+        arena.build(OR, [arena.lit(-1), arena.lit(-4), arena.lit(-5)]),
+        arena.build(OR, [arena.lit(-5), arena.lit(-6)]),
+        arena.build(OR, [q, r]),
+        arena.build(OR, [arena.lit(-1), arena.lit(-6)])])
+    p = QbfProblem.make(arena, [Scope(Quantifier.FORALL, (1, 4)),
+                                Scope(Quantifier.EXISTS, (2, 3, 5, 6))], matrix)
+    reduced, info = preprocess(p)
+    assert info.eliminated == {2: True, 3: True}
+    kinds, payload = reduced.arena.kinds, reduced.arena.payload
+    nodes = subformulas(reduced.arena, reduced.matrix)
+    classes = [reduced.arena.canon[n] for n in nodes]
+    assert len(set(classes)) == len(classes)
+    x_and_w = [n for n in nodes if kinds[n] == AND
+               and [payload[c] for c in payload[n]] == [1, 4]]
+    assert len(x_and_w) == 1
+    assert brute_force(reduced) == brute_force(p)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qbfkit.formula import AND, OR, Arena, evaluate
+from qbfkit.formula import AND, OR, Arena, evaluate, subformulas
 from qbfkit.sat import Solver, SolveResult, encode_nnf
 
 
@@ -292,6 +292,32 @@ def test_encode_nnf_numbering_golden():
     assert s.db == [(-3, 1, -2), (-6, 3), (-6, 4), (-6, -5), (-7, 5), (-7, 3),
                     (-8, 6, 7), (-9, -1), (-9, 2), (-10, 9, -4, 5),
                     (-11, -5, 9), (-12, 10), (-12, 11), (13,)]
+
+
+def test_encode_nnf_allocates_one_gate_per_class():
+    # two separately built copies of (a | b) & c; `build` keeps one child per
+    # class, so `or` over both copies directly would hold one, and each copy
+    # is joined under its own disjunction instead
+    arena = Arena()
+
+    def copy():
+        ab = arena.build(OR, [arena.lit(1), arena.lit(2)])
+        return arena.build(AND, [ab, arena.lit(3)])
+
+    first, second = copy(), copy()
+    assert first != second and arena.canon[first] == arena.canon[second]
+    root = arena.build(AND, [arena.build(OR, [first, arena.lit(4)]),
+                             arena.build(OR, [second, arena.lit(5)])])
+    nodes = subformulas(arena, root)
+    gates = [n for n in nodes if arena.kinds[n] in (AND, OR)]
+    assert len(gates) == 7
+    s = Solver()
+    encode_nnf(s, arena, root, {})
+    # (a | b), its conjunction with c, the two disjunctions and the root
+    assert len({arena.canon[n] for n in gates}) == 5
+    assert s.nvars == 5 + 5  # gates plus the variables a..e
+    encoded_agrees_with_evaluate(arena, root, 5, negate=False)
+    encoded_agrees_with_evaluate(arena, root, 5, negate=True)
 
 
 def test_encode_nnf_substitution():

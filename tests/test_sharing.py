@@ -4,15 +4,17 @@ import itertools
 import random
 import time
 
+from qbfkit.aiger import negate, read_aiger, write_aiger
 from qbfkit.certify import build_certificate, read_trace, verify
-from qbfkit.formula import AND, OR, problems_equal, subformulas
-from qbfkit.parsing import parse_qcir
+from qbfkit.formula import (AND, OR, Arena, QbfProblem, problems_equal,
+                            subformulas)
+from qbfkit.parsing import parse_qcir, write_qcir
 from qbfkit.preprocess import PreprocessInfo, preprocess
 from qbfkit.solver import solve_abstraction, solve_assignment
 
 import qbfkit.cli as cli
 
-from helpers import brute_force
+from helpers import brute_force, random_nnf, random_prefix
 
 
 def xor_chain(n: int) -> str:
@@ -372,3 +374,47 @@ def test_deep_gate_chain_exits_cleanly(tmp_path, capsys):
     assert "error:" in err
     assert "Traceback" not in err
 
+
+def random_dag_problem(rng):
+    """A random closed problem whose matrix reuses subformulas: random
+    trees joined by gates that each take two or three of them."""
+    arena = Arena()
+    nvars = rng.randint(2, 6)
+    pool = [random_nnf(rng, arena, nvars, rng.randint(2, 8))
+            for _ in range(rng.randint(2, 4))]
+    for _ in range(rng.randint(2, 6)):
+        kids = rng.sample(pool, min(len(pool), rng.randint(2, 3)))
+        pool.append(arena.build(rng.choice((AND, OR)), kids))
+    return QbfProblem.make(arena, random_prefix(rng, nvars), pool[-1])
+
+
+def test_structurally_equal_copies_are_merged_and_stay_sound():
+    """A DAG written as QCIR comes back as a tree of structurally equal
+    copies; preprocessing merges them, and verification against the tree
+    agrees with verification against the DAG."""
+    rng = random.Random(808)
+    copies = 0
+    flipped = []  # statuses of certificates with a flipped output
+    for _ in range(200):
+        dag = random_dag_problem(rng)
+        tree = parse_qcir(write_qcir(dag))
+        nodes = subformulas(tree.arena, tree.matrix)
+        copies += len({tree.arena.canon[n] for n in nodes}) < len(nodes)
+        reduced, info = preprocess(tree)
+        reached = subformulas(reduced.arena, reduced.matrix)
+        classes = [reduced.arena.canon[n] for n in reached]
+        assert len(set(classes)) == len(classes), write_qcir(dag)
+        expected = brute_force(dag)
+        value, trace, _ = solve_abstraction(reduced)
+        assert value == expected, write_qcir(dag)
+        circuit = read_aiger(write_aiger(build_certificate(
+            tree, reduced, info.eliminated, trace, value)))
+        assert verify(tree, circuit).status == "valid", write_qcir(dag)
+        assert verify(dag, circuit).status == "valid", write_qcir(dag)
+        if circuit.outputs:
+            name, lit = circuit.outputs[0]
+            circuit.outputs[0] = (name, negate(lit))
+            flipped.append(verify(tree, circuit).status)
+            assert flipped[-1] == verify(dag, circuit).status, write_qcir(dag)
+    assert copies >= 150
+    assert len(flipped) >= 100 and set(flipped) == {"valid", "invalid"}
