@@ -38,17 +38,18 @@ before its parent, and `maximize_claims` to raise child claims before the
 claims of their parents.
 
 The encoding walks the matrix with the block's polarity applied on the fly,
-so node ids are stable across blocks and polarities:
+so node ids are stable across blocks and polarities. One rule places every
+child at block k, by its `max_scope`, the innermost block it reads (for a
+literal, its variable's block):
 
-* a literal of the current block becomes a SAT literal,
-* a literal of an outer block folds into the parent's outer variable,
-* a subformula entirely decided outside folds into the parent's outer
-  variable,
-* a subformula reaching exactly this block gets its own claim variable,
-* anything decided by inner blocks alone is invisible to claim constraints;
-  only the top-level disjunction walk may name it (an inner literal lets the
-  round decline the root claim, an inner subformula may be claimed outright,
-  with satisfaction either way becoming the inner rounds' burden).
+* below k, the child is decided by outer blocks and folds into the parent's
+  outer variable;
+* at k, a literal becomes a SAT literal and a subformula gets a claim
+  variable;
+* above k, the child is left to inner blocks and is invisible to claim
+  constraints. Only the root disjunction names it: an inner literal lets the
+  round decline the root claim, and an inner subformula may be claimed
+  outright, satisfying it either way becoming the inner rounds' burden.
 
 Only claims actually referenced (from the matrix-level clauses, from other
 constraints, or exposed on the outgoing interface) get their constraints
@@ -106,18 +107,29 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
 
 
 class ScopeAbstraction:
-    """The claim/challenger SAT pair of one quantifier block."""
+    """The claim/challenger SAT pair of one quantifier block.
+
+    Both solvers number their variables alike. SAT variable `sv` is block
+    variable `role_key[sv]` when `role_tag[sv]` is `"var"`, the grant of
+    incoming node `role_key[sv]` when it is `"outer"`, and the claim of node
+    `role_key[sv]` when it is `"claim"`; entry 0 is unused. Two flat lists,
+    not one of pairs: a block allocates no container per SAT variable, which
+    would move Python's full garbage collections to other points of a solve.
+    """
 
     def __init__(self, problem: QbfProblem, scope_index: int,
-                 influence: InfluenceMap, incoming, exposed):
+                 influence: InfluenceMap):
         self.problem = problem
         self.scope_index = scope_index
         self.quantifier = problem.prefix[scope_index - 1].quantifier
         self.influence = influence
-        self.incoming = tuple(incoming)  # nodes granted by outer blocks
-        self.exposed = tuple(exposed)  # nodes this block may delegate inward
+        # nodes granted by outer blocks, and nodes this block may delegate inward
+        self.incoming = influence.interface[scope_index - 1]
+        self.exposed = influence.interface[scope_index]
         self.theta = Solver()
         self.dual = Solver()
+        self.role_tag: list[str] = [""]
+        self.role_key: list[int] = [0]
         self.x_var: dict[int, int] = {}
         self.outer_sat: dict[int, int] = {}
         self.claim: dict[int, int] = {}
@@ -126,9 +138,9 @@ class ScopeAbstraction:
         self._neg_claim_occ: dict[int, list[tuple[int, ...]]] | None = None
 
         for v in problem.prefix[scope_index - 1].vars:
-            self.x_var[v] = self._fresh()
+            self.x_var[v] = self._fresh("var", v)
         for n in self.incoming:
-            self.outer_sat[n] = self._fresh()
+            self.outer_sat[n] = self._fresh("outer", n)
         for n in self.exposed:
             self._claim_var(n)
         negated = self.quantifier is Quantifier.FORALL
@@ -138,25 +150,24 @@ class ScopeAbstraction:
     @classmethod
     def build(cls, problem: QbfProblem, scope_index: int,
               influence: InfluenceMap | None = None) -> "ScopeAbstraction":
-        influence = influence or compute_influence(problem)
-        return cls(problem, scope_index, influence,
-                   influence.interface[scope_index - 1],
-                   influence.interface[scope_index])
+        return cls(problem, scope_index, influence or compute_influence(problem))
 
     # ------------------------------------------------------------------
     # variable management (both solvers allocate in lockstep)
 
-    def _fresh(self) -> int:
+    def _fresh(self, tag: str, key: int) -> int:
         a = self.theta.fresh_var()
         b = self.dual.fresh_var()
         if a != b:
             raise InternalError("solver variable numbering diverged")
+        self.role_tag.append(tag)
+        self.role_key.append(key)
         return a
 
     def _claim_var(self, node: int) -> int:
         sv = self.claim.get(node)
         if sv is None:
-            sv = self._fresh()
+            sv = self._fresh("claim", node)
             self.claim[node] = sv
         return sv
 
@@ -167,7 +178,6 @@ class ScopeAbstraction:
         problem, k = self.problem, self.scope_index
         arena = problem.arena
         kinds, payload = arena.kinds, arena.payload
-        var_scope = problem.var_scope
         maxs = self.influence.max_scope
 
         def eff(kind: str) -> str:
@@ -209,51 +219,36 @@ class ScopeAbstraction:
 
         def child_item(parent: int, child: int) -> int | None:
             """The literal a child contributes to its parent's constraint."""
-            if kinds[child] == LIT:
-                lit = payload[child]
-                s = var_scope[abs(lit)]
-                if s == k:
-                    return current_lit(lit)
-                if s < k:
-                    return outer_ref(parent)
-                return None  # an inner block's literal: invisible here
-            if maxs[child] < k:
+            s = maxs[child]
+            if s < k:
                 return outer_ref(parent)
-            if maxs[child] == k:
-                need(child)
-                return self._claim_var(child)
-            return None  # decided by inner blocks only: invisible here
+            if s > k:
+                return None  # decided by inner blocks only: invisible here
+            if kinds[child] == LIT:
+                return current_lit(payload[child])
+            need(child)
+            return self._claim_var(child)
 
         # matrix-level clauses: how this block's owner can win the round
         root = problem.matrix
         rkind = eff(kinds[root])
         if rkind == LIT:
-            lit = payload[root]
-            s = var_scope[abs(lit)]
-            if s == k:
-                add([current_lit(lit)])
-            elif s > k:
-                add([-self._claim_var(root)])
-            else:
+            if maxs[root] < k:
                 raise InternalError(f"block {k} lies past the matrix content")
+            add([current_lit(payload[root]) if maxs[root] == k
+                 else -self._claim_var(root)])
         elif rkind == AND:
             add([self._claim_var(root)])
             need(root)
         else:
             items: list[int] = []
             for c in payload[root]:
-                if kinds[c] == LIT:
-                    lit = payload[c]
-                    s = var_scope[abs(lit)]
-                    if s == k:
-                        items.append(current_lit(lit))
-                    elif s < k:
-                        items.append(outer_ref(root))
-                    else:
-                        items.append(-self._claim_var(root))
-                        need(root)
-                elif maxs[c] < k:
-                    items.append(outer_ref(root))
+                if maxs[c] <= k:
+                    items.append(child_item(root, c))
+                elif kinds[c] == LIT:
+                    # an inner literal lets the round decline the root claim
+                    items.append(-self._claim_var(root))
+                    need(root)
                 else:
                     if eff(kinds[c]) == OR:
                         raise InternalError("nested same-connective node")
@@ -271,8 +266,6 @@ class ScopeAbstraction:
         while i < len(needed):
             n = needed[i]
             i += 1
-            if kinds[n] == LIT:
-                continue  # a literal claim carries no constraint of its own
             b = self._claim_var(n)
             if eff(kinds[n]) == AND:
                 for c in payload[n]:
@@ -313,11 +306,10 @@ class ScopeAbstraction:
 
     def witness_from_core(self, core, granted: dict[int, bool]) -> dict[int, bool]:
         """Incoming-interface part of an unsat core, valued as granted."""
-        node_of = {sv: n for n, sv in self.outer_sat.items()}
         out: dict[int, bool] = {}
         for lit in core:
-            n = node_of.get(abs(lit))
-            if n is not None:
+            if self.role_tag[abs(lit)] == "outer":
+                n = self.role_key[abs(lit)]
                 out[n] = granted[n]
         return out
 
@@ -392,22 +384,11 @@ class ScopeAbstraction:
     # ------------------------------------------------------------------
     # introspection
 
-    def _label(self, sat_var: int):
-        for v, sv in self.x_var.items():
-            if sv == sat_var:
-                return ("var", v)
-        for n, sv in self.outer_sat.items():
-            if sv == sat_var:
-                return ("outer", n)
-        for n, sv in self.claim.items():
-            if sv == sat_var:
-                return ("claim", n)
-        return ("aux", sat_var)
-
     def symbolic(self, clauses) -> frozenset:
         """Clauses as sign/role/key triples, independent of SAT numbering."""
         return frozenset(
-            frozenset((lit > 0,) + self._label(abs(lit)) for lit in clause)
+            frozenset((lit > 0, self.role_tag[abs(lit)],
+                       self.role_key[abs(lit)]) for lit in clause)
             for clause in clauses)
 
     def symbolic_theta(self) -> frozenset:
@@ -418,10 +399,9 @@ class ScopeAbstraction:
 
     def legend(self) -> dict[int, str]:
         names = self.problem.var_names
-        out = {sv: f"x {names[v]}" for v, sv in self.x_var.items()}
-        out.update({sv: f"outer n{n}" for n, sv in self.outer_sat.items()})
-        out.update({sv: f"claim n{n}" for n, sv in self.claim.items()})
-        return out
+        return {sv: f"x {names[key]}" if tag == "var" else f"{tag} n{key}"
+                for sv, (tag, key) in enumerate(
+                    zip(self.role_tag[1:], self.role_key[1:]), start=1)}
 
     def debug_dump(self) -> str:
         lines = [f"c block {self.scope_index} ({self.quantifier.value})"]

@@ -58,10 +58,9 @@ def _condition(circuit: Circuit, problem: QbfProblem, influence: InfluenceMap,
                encoded: dict[int, int]) -> int:
     """Encode the grant condition of `node` at a block into the circuit.
 
-    The condition keeps the children of `node` that only outer blocks read,
-    each in the block's polarity: an outer literal becomes its `var_lit`
-    literal, an outer subformula is encoded once per node through `encoded`
-    (see `_encode_formula`) and negated at a universal block. The pieces are
+    The condition keeps the children of `node` whose `max_scope` lies
+    before the block, each encoded once per node through `encoded` (see
+    `_encode_formula`) and negated at a universal block. The pieces are
     joined by the node's connective, dualized at a universal block.
     """
     if not influence.straddles(node, scope_index - 1):
@@ -72,12 +71,7 @@ def _condition(circuit: Circuit, problem: QbfProblem, influence: InfluenceMap,
     arena = problem.arena
     pieces = []
     for child in arena.payload[node]:
-        if arena.kinds[child] == LIT:
-            lit = arena.payload[child]
-            if problem.var_scope[abs(lit)] < scope_index:
-                base = var_lit[abs(lit)]
-                pieces.append(base if (lit > 0) != negated else aig_not(base))
-        elif influence.max_scope[child] < scope_index:
+        if influence.max_scope[child] < scope_index:
             out = _encode_formula(circuit, arena, child, var_lit, encoded)
             pieces.append(aig_not(out) if negated else out)
     if (arena.kinds[node] == AND) != negated:

@@ -148,9 +148,10 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
                     raise InternalError(
                         f"refinement at block {k} would not make progress")
             block.refine(relied)
-            stats.refinements[k - 1] += 1
 
     value, _ = run(1, {})
+    for k, block in blocks.items():
+        stats.refinements[k - 1] = block.refinement_count
     stats.wall_time = time.perf_counter() - t0
     return value, trace, stats
 
@@ -169,52 +170,51 @@ def solve_assignment(problem: QbfProblem):
     stats = SolveStats([0] * nblocks, [0] * nblocks)
     arena = problem.arena
 
-    # every solver knows all prefix variables so outer assignments can be
-    # assumed directly; each block encodes what its owner must achieve
-    solvers: list[Solver] = []
-    var_maps: list[dict[int, int]] = []
-    for scope in problem.prefix:
-        solver = Solver()
-        var_map = {v: solver.fresh_var() for v in problem.all_vars()}
-        solver.add_clause([encode_nnf(
-            solver, arena, problem.matrix, var_map,
-            negate=scope.quantifier is Quantifier.FORALL)])
-        solvers.append(solver)
-        var_maps.append(var_map)
-    challenger = Solver()
-    challenger_map = {v: challenger.fresh_var() for v in problem.all_vars()}
-    challenger.add_clause([encode_nnf(
-        challenger, arena, problem.matrix, challenger_map,
-        negate=problem.prefix[-1].quantifier is Quantifier.EXISTS)])
+    # every solver numbers the prefix variables 1..N alike, so outer
+    # assignments can be assumed directly; each block encodes what its owner
+    # must achieve, and the challenger what the innermost block's opponent must
+    var_of = [0, *problem.all_vars()]
+    var_map = {v: sv for sv, v in enumerate(var_of) if sv}
 
-    def assumption_lits(var_map: dict[int, int], values: dict) -> list[int]:
+    def new_solver(negate: bool) -> Solver:
+        solver = Solver()
+        for _ in var_map:
+            solver.fresh_var()
+        solver.add_clause([encode_nnf(solver, arena, problem.matrix, var_map,
+                                      negate=negate)])
+        return solver
+
+    solvers = [new_solver(scope.quantifier is Quantifier.FORALL)
+               for scope in problem.prefix]
+    challenger = new_solver(problem.prefix[-1].quantifier is Quantifier.EXISTS)
+
+    def assumption_lits(values: dict) -> list[int]:
         return [var_map[v] if val else -var_map[v]
                 for v, val in sorted(values.items())]
 
-    def core_witness(var_map: dict[int, int], core, values: dict) -> dict:
-        var_of = {sv: v for v, sv in var_map.items()}
+    def core_witness(core, values: dict) -> dict:
         return {var_of[abs(lit)]: values[var_of[abs(lit)]] for lit in core}
 
     def run(k: int, alpha: dict):
         scope = problem.prefix[k - 1]
         exists_here = scope.quantifier is Quantifier.EXISTS
-        solver, var_map = solvers[k - 1], var_maps[k - 1]
+        solver = solvers[k - 1]
         while True:
             stats.sat_queries[k - 1] += 1
-            result = solver.solve(assumption_lits(var_map, alpha))
+            result = solver.solve(assumption_lits(alpha))
             if not result.sat:
-                witness = core_witness(var_map, result.failed, alpha)
+                witness = core_witness(result.failed, alpha)
                 return (not exists_here), witness
             beta = dict(alpha)
             for v in scope.vars:
                 beta[v] = bool(result.model[var_map[v]])
             if k == nblocks:
                 stats.sat_queries[k - 1] += 1
-                refute = challenger.solve(assumption_lits(challenger_map, beta))
+                refute = challenger.solve(assumption_lits(beta))
                 if refute.sat:
                     raise InternalError(
                         "matrix and its negation both satisfied")
-                witness = core_witness(challenger_map, refute.failed, beta)
+                witness = core_witness(refute.failed, beta)
                 return exists_here, {v: b for v, b in witness.items()
                                      if v in alpha}
             inner_exists_wins, inner_witness = run(k + 1, beta)

@@ -1,12 +1,15 @@
 """Tests for the per-block SAT abstractions."""
 
+import hashlib
 import random
 
 import pytest
 
 from qbfkit.abstraction import ScopeAbstraction, compute_influence
+from qbfkit.bench import gen_expansion_hard, gen_qparity
 from qbfkit.formula import AND, LIT, OR, InternalError, Quantifier, subformulas
 from qbfkit.parsing import parse_qcir
+from qbfkit.preprocess import preprocess
 
 from helpers import random_problem
 
@@ -311,3 +314,36 @@ def test_debug_dump_mentions_every_variable():
     assert "x y" in dump
     assert f"outer n{psi1}" in dump
     assert "p cnf" in dump
+
+
+def numbering_digest(problems):
+    """SHA-256 over the clauses, legend and interfaces of every block the
+    solver can build, with the SAT numbering exactly as allocated."""
+    digest = hashlib.sha256()
+    for problem in problems:
+        influence = compute_influence(problem)
+        for k in range(1, influence.max_scope[problem.matrix] + 1):
+            block = ScopeAbstraction.build(problem, k, influence)
+            assert block.theta.nvars == block.dual.nvars
+            legend = block.legend()
+            assert set(legend) == set(range(1, block.theta.nvars + 1))
+            digest.update(repr((block.theta.db, block.dual.db,
+                                sorted(legend.items()), block.incoming,
+                                block.exposed)).encode())
+    return digest.hexdigest()
+
+
+def test_block_numbering_golden():
+    # Guards the SAT variable numbering and clause order of every block:
+    # both decide the search the solver makes.
+    rng = random.Random(31)
+    randoms = []
+    while len(randoms) < 20:
+        reduced, _ = preprocess(random_problem(rng, impure=True))
+        if reduced.matrix_constant() is None:
+            randoms.append(reduced)
+    fixed = [example_problem()[0], gen_qparity(3), gen_expansion_hard(2)]
+    assert numbering_digest(fixed) == (
+        "1075b6fb6a7b0805c9ac49873e8cfea4060aed5800a2440a76edd90f370a5451")
+    assert numbering_digest(randoms) == (
+        "e8b9c34ef5c85df37822741f790d61a07e25551e0b7d876e00f2e2b1580690de")

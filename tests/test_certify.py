@@ -1,10 +1,12 @@
 """Tests for strategy extraction and certificate checking."""
 
+import itertools
 import random
 import time
 
 import pytest
 
+from qbfkit.abstraction import compute_influence
 from qbfkit.aiger import TRUE_LIT, Circuit, read_aiger, write_aiger
 from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
@@ -96,6 +98,38 @@ def test_universal_block_conditions_flip_polarity():
                 expected = (x1 != x2) is wants_parity
                 got = circuit.evaluate({"x1": x1, "x2": x2})["condition"]
                 assert got is expected
+
+
+def test_conditions_match_a_reference_on_random_problems():
+    # The grant condition of node n at block k keeps the children that only
+    # blocks before k read, joins them by n's connective and, at a universal
+    # block, takes the whole in the negated polarity.
+    rng = random.Random(41)
+    checked = 0
+    while checked < 150:
+        problem = random_problem(rng, max_vars=7, max_budget=30, impure=True)
+        if problem.matrix_constant() is not None:
+            continue
+        checked += 1
+        influence = compute_influence(problem)
+        kinds, payload = problem.arena.kinds, problem.arena.payload
+        for k, scope in enumerate(problem.prefix, start=1):
+            negated = scope.quantifier is Quantifier.FORALL
+            outer = [v for s in problem.prefix[:k - 1] for v in s.vars]
+            for node in influence.interface[k - 1]:
+                circuit = condition_formula(problem, node, k)
+                kids = [c for c in payload[node]
+                        if influence.max_scope[c] < k]
+                join = all if (kinds[node] == AND) != negated else any
+                for bits in itertools.product((0, 1), repeat=len(outer)):
+                    values = dict(zip(outer, bits))
+                    expected = join(
+                        evaluate(problem.arena, c, values) != negated
+                        for c in kids)
+                    names = {problem.var_names[v]: bool(b)
+                             for v, b in values.items()}
+                    got = circuit.evaluate(names)["condition"]
+                    assert got is expected, write_qcir(problem)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Tests for both solving algorithms."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from qbfkit.aiger import write_aiger
+from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
+from qbfkit.certify import build_certificate
 from qbfkit.formula import InternalError
 from qbfkit.parsing import parse_qcir, parse_qdimacs
+from qbfkit.preprocess import preprocess
 from qbfkit.solver import (ProofPair, SolveConfig, solve_abstraction,
                            solve_assignment)
 
@@ -142,3 +148,33 @@ def test_trace_for_scope_filters_pairs():
     _, trace, _ = solve_abstraction(problem)
     assert trace.for_scope(1) == []
     assert len(trace.for_scope(2)) == 2
+
+
+def end_to_end_digest(problems):
+    """SHA-256 over what both solvers and the certificate builder make of
+    each problem, as given and after preprocessing."""
+    records = []
+    for problem in problems:
+        reduced, info = preprocess(problem)
+        for solved, eliminated in ((problem, {}), (reduced, info.eliminated)):
+            value, trace, stats = solve_abstraction(solved)
+            aag = write_aiger(build_certificate(problem, solved, eliminated,
+                                                trace, value))
+            avalue, astats = solve_assignment(solved)
+            records.append([value, stats.sat_queries, stats.refinements,
+                            avalue, astats.sat_queries, astats.refinements,
+                            hashlib.sha256(aag.encode()).hexdigest()])
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def test_end_to_end_golden():
+    # Verdicts, per-block query and refinement counts of both solvers, and
+    # certificates, pinned: a change that renumbers SAT variables or
+    # reorders clauses shows up here even when every verdict stays right.
+    assert end_to_end_digest(gen_qparity(n) for n in range(2, 7)) == (
+        "21d919a12eb86947e8e350a64b5d8dde9830efdb5aa814320bc2e574c89ab180")
+    assert end_to_end_digest(gen_expansion_hard(n) for n in range(1, 5)) == (
+        "b632fb50072d20d97c4bc05685f45df8c490056d4591293ecf77bc6e60e5fb7a")
+    assert end_to_end_digest(gen_random(GenSpec(seed=i))
+                             for i in range(300)) == (
+        "1b3a102fc02e348711fb7a444e6912064bd0b76e54aeb420035f43871b6e71e9")
