@@ -48,16 +48,41 @@ literal, its variable's block):
   variable;
 * above k, the child is left to inner blocks and is invisible to claim
   constraints. Only the root disjunction names it: an inner literal lets the
-  round decline the root claim, and an inner subformula may be claimed
+  round decline the root claim, and an exposed subformula may be claimed
   outright, satisfying it either way becoming the inner rounds' burden.
 
 Only claims actually referenced (from the matrix-level clauses, from other
 constraints, or exposed on the outgoing interface) get their constraints
 emitted.
+
+A root disjunct that lies wholly inside block k (its `min_scope` is past k)
+gets no claim and leaves the block without a root clause. Its claim would
+be a pure literal of that clause: every child of the disjunct is above k,
+so its constraints at k are empty (it is a conjunction there, because
+`compute_influence` rejects a node whose child has its own connective), it
+is not exposed, and no other clause names it. A pure literal satisfies the
+clause it is in, so the clause and the literal go together; this is the
+simplest case of blocked-clause elimination. The clause's other items keep
+their claims and their order, so every other variable and clause stays as
+it was. The search does not change either: the dropped variables occur in
+no other clause, so they never propagate into or conflict with any other
+variable, and the models restricted to the other variables, the cores, the
+refinements and the proof pairs are the same. Without the rule, a block
+allocated one claim per root disjunct that only inner blocks decide, a
+number that on the expansion-hard family grows with the blocks inside it.
+
+A block visits only the children its clauses name. `InfluenceMap` indexes
+every node's children by `max_scope`, so at block k a constraint reads the
+children decided at k and the first one decided below k, which stands for
+all of them, merged in payload order; the root clause also reads the
+root's exposed children and its first literal above k. A block's work is
+therefore proportional to its interface and to the nodes decided at it,
+not to the size of the matrix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from .formula import (AND, LIT, OR, InternalError, QbfProblem, Quantifier,
@@ -67,20 +92,61 @@ from .sat import Solver
 
 @dataclass(frozen=True)
 class InfluenceMap:
-    """Innermost and outermost block index touched by every subformula, and
-    the interface of every boundary.
+    """Innermost and outermost block index touched by every subformula, the
+    interface of every boundary, and the children of every node indexed by
+    the block that decides them.
 
     `interface[k]` lists the nodes straddling boundary k|k+1 in preorder of
     first visits, each once however many parents it has; `interface[0]` and
     `interface[scope_count]` are empty.
+
+    Children are payload positions. `at[n][s]` lists, ascending, those of
+    node `n` whose `max_scope` is `s`; `falls[n]` holds a pair
+    `(max_scope, position)` wherever the running minimum of `max_scope`
+    over the payload of `n` falls, so its first pair below k names the first
+    child decided before block k. The matrix root has three more entries,
+    read only where the root is a disjunction: `root_slot` maps each root
+    child to its position, `root_literals` holds `(max_scope, position)`
+    wherever the running maximum over the root's literal children rises,
+    and `inner_until` is the largest `min_scope` of a non-literal root child
+    (0 if there is none): at every block before it, some root disjunct is
+    decided by inner blocks only.
     """
 
     min_scope: dict[int, int]
     max_scope: dict[int, int]
     interface: tuple[tuple[int, ...], ...]
+    at: dict[int, dict[int, list[int]]]
+    falls: dict[int, list[tuple[int, int]]]
+    root_slot: dict[int, int]
+    root_literals: list[tuple[int, int]]
+    inner_until: int
 
     def straddles(self, node: int, boundary: int) -> bool:
         return self.min_scope[node] <= boundary < self.max_scope[node]
+
+    def visible(self, node: int, k: int) -> list[int]:
+        """Positions of the children of `node` whose items block k emits:
+        every child decided at k and the first one decided below k, which
+        stands for all of them, in payload order."""
+        slots = list(self.at[node].get(k, ()))
+        falls = self.falls[node]
+        j = bisect_right(falls, -k, key=lambda fall: -fall[0])
+        if j < len(falls):
+            insort(slots, falls[j][1])
+        return slots
+
+    def root_disjuncts(self, root: int, k: int) -> list[int]:
+        """Positions of the root's children that name an item of the root
+        clause at block k: the visible ones, the ones exposed at k and the
+        first literal decided by inner blocks, in payload order."""
+        slots = set(self.visible(root, k))
+        slots.update(self.root_slot[c] for c in self.interface[k]
+                     if c in self.root_slot)
+        j = bisect_right(self.root_literals, k, key=lambda rise: rise[0])
+        if j < len(self.root_literals):
+            slots.add(self.root_literals[j][1])
+        return sorted(slots)
 
 
 def compute_influence(problem: QbfProblem) -> InfluenceMap:
@@ -91,19 +157,41 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
     preorder = subformulas(arena, problem.matrix)
     mins: dict[int, int] = {}
     maxs: dict[int, int] = {}
+    at: dict[int, dict[int, list[int]]] = {}
+    falls: dict[int, list[tuple[int, int]]] = {}
     for n in sorted(preorder):
         if kinds[n] == LIT:
-            s = problem.var_scope[abs(payload[n])]
-            mins[n] = maxs[n] = s
-        else:
-            kids = payload[n]
-            mins[n] = min(mins[c] for c in kids)
-            maxs[n] = max(maxs[c] for c in kids)
+            mins[n] = maxs[n] = problem.var_scope[abs(payload[n])]
+            continue
+        kids = payload[n]
+        groups: dict[int, list[int]] = {}
+        drops: list[tuple[int, int]] = []
+        for i, c in enumerate(kids):
+            if kinds[c] == kinds[n]:
+                raise InternalError("nested same-connective node")
+            s = maxs[c]
+            groups.setdefault(s, []).append(i)
+            if not drops or s < drops[-1][0]:
+                drops.append((s, i))
+        mins[n] = min(mins[c] for c in kids)
+        maxs[n] = max(groups)
+        at[n], falls[n] = groups, drops
     interface: list[list[int]] = [[] for _ in range(problem.scope_count + 1)]
     for n in preorder:
         for k in range(mins[n], maxs[n]):
             interface[k].append(n)
-    return InfluenceMap(mins, maxs, tuple(map(tuple, interface)))
+    root = problem.matrix
+    root_slot: dict[int, int] = {}
+    root_literals: list[tuple[int, int]] = []
+    inner_until = 0
+    for i, c in enumerate(payload[root] if kinds[root] != LIT else ()):
+        root_slot[c] = i
+        if kinds[c] != LIT:
+            inner_until = max(inner_until, mins[c])
+        elif not root_literals or maxs[c] > root_literals[-1][0]:
+            root_literals.append((maxs[c], i))
+    return InfluenceMap(mins, maxs, tuple(map(tuple, interface)), at, falls,
+                        root_slot, root_literals, inner_until)
 
 
 class ScopeAbstraction:
@@ -178,7 +266,8 @@ class ScopeAbstraction:
         problem, k = self.problem, self.scope_index
         arena = problem.arena
         kinds, payload = arena.kinds, arena.payload
-        maxs = self.influence.max_scope
+        influence = self.influence
+        maxs = influence.max_scope
 
         def eff(kind: str) -> str:
             if not negated or kind == LIT:
@@ -217,13 +306,11 @@ class ScopeAbstraction:
                 queued.add(node)
                 needed.append(node)
 
-        def child_item(parent: int, child: int) -> int | None:
-            """The literal a child contributes to its parent's constraint."""
-            s = maxs[child]
-            if s < k:
+        def child_item(parent: int, child: int) -> int:
+            """The literal a child at or below k contributes to its parent's
+            constraint."""
+            if maxs[child] < k:
                 return outer_ref(parent)
-            if s > k:
-                return None  # decided by inner blocks only: invisible here
             if kinds[child] == LIT:
                 return current_lit(payload[child])
             need(child)
@@ -241,8 +328,9 @@ class ScopeAbstraction:
             add([self._claim_var(root)])
             need(root)
         else:
+            kids = payload[root]
             items: list[int] = []
-            for c in payload[root]:
+            for c in (kids[i] for i in influence.root_disjuncts(root, k)):
                 if maxs[c] <= k:
                     items.append(child_item(root, c))
                 elif kinds[c] == LIT:
@@ -250,13 +338,14 @@ class ScopeAbstraction:
                     items.append(-self._claim_var(root))
                     need(root)
                 else:
-                    if eff(kinds[c]) == OR:
-                        raise InternalError("nested same-connective node")
-                    # any disjunct may win the matrix, even one that inner
-                    # blocks still have to finish
+                    # an exposed disjunct may win the matrix, even though
+                    # inner blocks still have to finish it
                     items.append(self._claim_var(c))
                     need(c)
-            add(items)
+            # a disjunct that inner blocks alone decide would be a pure
+            # literal of this clause, with no other clause naming it
+            if k >= influence.inner_until:
+                add(items)
 
         for n in self.exposed:
             need(n)
@@ -267,18 +356,13 @@ class ScopeAbstraction:
             n = needed[i]
             i += 1
             b = self._claim_var(n)
+            kids = payload[n]
+            items = [child_item(n, kids[j]) for j in influence.visible(n, k)]
             if eff(kinds[n]) == AND:
-                for c in payload[n]:
-                    item = child_item(n, c)
-                    if item is not None:
-                        add([-b, item])
+                for item in items:
+                    add([-b, item])
             else:
-                clause = [-b]
-                for c in payload[n]:
-                    item = child_item(n, c)
-                    if item is not None:
-                        clause.append(item)
-                add(clause)
+                add([-b, *items])
 
     # ------------------------------------------------------------------
     # assumptions and model views

@@ -145,12 +145,13 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
                     circuit, reduced, influence, n, k, var_lit, encoded)
             return lit
 
+        pairs_at = trace.by_scope()
         for k, scope in enumerate(reduced.prefix, start=1):
             if scope.quantifier is not func_q:
                 continue
             fires: list[tuple[ProofPair, int]] = []
             earlier = FALSE_LIT
-            for pair in trace.for_scope(k):
+            for pair in pairs_at.get(k, ()):
                 guard = circuit.and_many(condition_lit(n, k)
                                          for n in sorted(pair.nodes))
                 fires.append((pair, circuit.and_(guard, aig_not(earlier))))

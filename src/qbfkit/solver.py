@@ -1,10 +1,12 @@
 """Game-style solving of prenex NNF problems.
 
-Two algorithms share the same recursive shape: each quantifier block plays
-rounds against the blocks inside it, and a round ends when one side's SAT
-query comes back unsatisfiable. The assumption-literal core of that query
-tells the caller which part of its offer the loss actually relied on, so the
+Two algorithms share the same shape: each quantifier block plays rounds
+against the blocks inside it, and a round ends when one side's SAT query
+comes back unsatisfiable. The assumption-literal core of that query tells
+the caller which part of its offer the loss actually relied on, so the
 caller can refine with a single clause instead of enumerating assignments.
+Both keep the blocks that wait on an inner one on an explicit stack, so a
+prefix of any depth solves at Python's default recursion limit.
 
 ``solve_assignment`` plays rounds over full variable assignments - each block
 proposes values for its own variables given the outer ones. It is simple and
@@ -51,8 +53,15 @@ class ProofTrace:
     def record(self, pair: ProofPair) -> None:
         self.pairs.append(pair)
 
+    def by_scope(self) -> dict[int, list[ProofPair]]:
+        """The pairs grouped by block, each group in confirmation order."""
+        groups: dict[int, list[ProofPair]] = {}
+        for pair in self.pairs:
+            groups.setdefault(pair.scope, []).append(pair)
+        return groups
+
     def for_scope(self, scope: int) -> list[ProofPair]:
-        return [p for p in self.pairs if p.scope == scope]
+        return self.by_scope().get(scope, [])
 
 
 @dataclass
@@ -122,34 +131,51 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
                 frozenset(v for v, val in x_values.items() if val)))
         return witness
 
-    def run(k: int, granted: dict):
+    # The blocks waiting on an inner one, outermost first, each with the
+    # grants and the round it delegated: an explicit stack, so the depth of
+    # the prefix is not bounded by Python's recursion limit.
+    waiting: list[tuple[int, dict, dict, dict]] = []
+    k, granted = 1, {}
+    while True:
         block = block_for(k)
         exists_here = block.quantifier is Quantifier.EXISTS
-        while True:
-            stats.sat_queries[k - 1] += 1
-            result = block.theta.solve(block.theta_assumptions(granted))
-            if not result.sat:
-                witness = block.witness_from_core(result.failed, granted)
-                return (not exists_here), witness
+        stats.sat_queries[k - 1] += 1
+        result = block.theta.solve(block.theta_assumptions(granted))
+        if not result.sat:
+            outcome = (not exists_here), block.witness_from_core(
+                result.failed, granted)
+        else:
             x_values = block.x_assignment(result.model)
-            if k == nblocks or innermost_used <= k:
-                return exists_here, confirm_win(block, k, x_values, granted)
-            claims = block.exposed_claims(block.maximize_claims(result.model))
-            inner_exists_wins, inner_witness = run(
-                k + 1, {n: not claims[n] for n in block.exposed})
+            if k < nblocks and k < innermost_used:
+                claims = block.exposed_claims(
+                    block.maximize_claims(result.model))
+                waiting.append((k, granted, x_values, claims))
+                k, granted = k + 1, {n: not claims[n] for n in block.exposed}
+                continue
+            outcome = exists_here, confirm_win(block, k, x_values, granted)
+        # hand the outcome outward until some block refines and plays again
+        while waiting:
+            k, granted, x_values, claims = waiting.pop()
+            block = blocks[k]
+            exists_here = block.quantifier is Quantifier.EXISTS
+            inner_exists_wins, inner_witness = outcome
             if inner_exists_wins == exists_here:
                 # the delegation worked out; teach the challenger side the
                 # inner outcome, then confirm the whole round on it
                 block.refine_dual(inner_witness)
-                return exists_here, confirm_win(block, k, x_values, granted)
+                outcome = exists_here, confirm_win(block, k, x_values, granted)
+                continue
             relied = sorted(n for n, v in inner_witness.items() if v)
             for n in relied:
                 if claims[n]:
                     raise InternalError(
                         f"refinement at block {k} would not make progress")
             block.refine(relied)
+            break
+        else:
+            break  # no block is left waiting: the outcome is block 1's
 
-    value, _ = run(1, {})
+    value = outcome[0]
     for k, block in blocks.items():
         stats.refinements[k - 1] = block.refinement_count
     stats.wall_time = time.perf_counter() - t0
@@ -195,36 +221,49 @@ def solve_assignment(problem: QbfProblem):
     def core_witness(core, values: dict) -> dict:
         return {var_of[abs(lit)]: values[var_of[abs(lit)]] for lit in core}
 
-    def run(k: int, alpha: dict):
+    # the blocks waiting on an inner one, each with its outer assignment; a
+    # block's outcome names only variables of the blocks outside it
+    waiting: list[tuple[int, dict]] = []
+    k, alpha = 1, {}
+    while True:
         scope = problem.prefix[k - 1]
         exists_here = scope.quantifier is Quantifier.EXISTS
-        solver = solvers[k - 1]
-        while True:
-            stats.sat_queries[k - 1] += 1
-            result = solver.solve(assumption_lits(alpha))
-            if not result.sat:
-                witness = core_witness(result.failed, alpha)
-                return (not exists_here), witness
+        stats.sat_queries[k - 1] += 1
+        result = solvers[k - 1].solve(assumption_lits(alpha))
+        if not result.sat:
+            outcome = (not exists_here), core_witness(result.failed, alpha)
+        else:
             beta = dict(alpha)
             for v in scope.vars:
                 beta[v] = bool(result.model[var_map[v]])
-            if k == nblocks:
-                stats.sat_queries[k - 1] += 1
-                refute = challenger.solve(assumption_lits(beta))
-                if refute.sat:
-                    raise InternalError(
-                        "matrix and its negation both satisfied")
-                witness = core_witness(refute.failed, beta)
-                return exists_here, {v: b for v, b in witness.items()
-                                     if v in alpha}
-            inner_exists_wins, inner_witness = run(k + 1, beta)
+            if k < nblocks:
+                waiting.append((k, alpha))
+                k, alpha = k + 1, beta
+                continue
+            stats.sat_queries[k - 1] += 1
+            refute = challenger.solve(assumption_lits(beta))
+            if refute.sat:
+                raise InternalError("matrix and its negation both satisfied")
+            witness = core_witness(refute.failed, beta)
+            outcome = exists_here, {v: b for v, b in witness.items()
+                                    if v in alpha}
+        # hand the outcome outward until some block refines and plays again
+        while waiting:
+            k, alpha = waiting.pop()
+            exists_here = problem.prefix[k - 1].quantifier is Quantifier.EXISTS
+            inner_exists_wins, inner_witness = outcome
             if inner_exists_wins == exists_here:
-                return exists_here, {v: b for v, b in inner_witness.items()
-                                     if v in alpha}
-            solver.add_clause([-var_map[v] if b else var_map[v]
-                               for v, b in sorted(inner_witness.items())])
+                outcome = exists_here, {v: b for v, b in inner_witness.items()
+                                        if v in alpha}
+                continue
+            solvers[k - 1].add_clause(
+                [-var_map[v] if b else var_map[v]
+                 for v, b in sorted(inner_witness.items())])
             stats.refinements[k - 1] += 1
+            break
+        else:
+            break  # no block is left waiting: the outcome is block 1's
 
-    value, _ = run(1, {})
+    value = outcome[0]
     stats.wall_time = time.perf_counter() - t0
     return value, stats

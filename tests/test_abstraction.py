@@ -301,6 +301,18 @@ def test_build_is_deterministic():
     assert a.legend() == b.legend()
 
 
+
+def test_block_abstractions_stay_small_on_expansion_hard():
+    # A block sees its interface and its own variables, a bounded number on
+    # this family; what only inner blocks decide must not add to it
+    for n in (32, 64, 128):
+        problem, _ = preprocess(gen_expansion_hard(n))
+        influence = compute_influence(problem)
+        sizes = [ScopeAbstraction.build(problem, k, influence).theta.nvars
+                 for k in range(1, problem.scope_count + 1)]
+        assert max(sizes) <= 16
+        assert sum(sizes) <= 16 * problem.scope_count
+
 def test_constant_matrix_has_no_influence():
     problem = parse_qcir("#QCIR-G14\noutput(g)\ng = and()\n")
     with pytest.raises(ValueError):
@@ -344,6 +356,6 @@ def test_block_numbering_golden():
             randoms.append(reduced)
     fixed = [example_problem()[0], gen_qparity(3), gen_expansion_hard(2)]
     assert numbering_digest(fixed) == (
-        "1075b6fb6a7b0805c9ac49873e8cfea4060aed5800a2440a76edd90f370a5451")
+        "d9318811fceda9afc0a46bfad76c2134ef6a1b1cb33b56df6c97e9b4aff9e1a0")
     assert numbering_digest(randoms) == (
         "e8b9c34ef5c85df37822741f790d61a07e25551e0b7d876e00f2e2b1580690de")

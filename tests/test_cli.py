@@ -6,7 +6,7 @@ import logging
 import pytest
 
 import qbfkit.cli as cli
-from qbfkit.bench import gen_qparity
+from qbfkit.bench import gen_expansion_hard, gen_qparity
 from qbfkit.formula import InternalError, problems_equal
 from qbfkit.parsing import parse_qcir, write_qcir
 
@@ -56,6 +56,16 @@ def test_solve_reports_false(parity_path, capsys):
         assert code == 20
         assert out == "r FALSE\n"
 
+
+
+def test_solve_deep_prefix_at_the_default_recursion_limit(tmp_path, capsys):
+    # 1,025 blocks after merging; the solver once took a Python frame per
+    # block on the path and exited as "input nested too deeply"
+    path = tmp_path / "expansion512.qcir"
+    path.write_text(write_qcir(gen_expansion_hard(512)))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 20
+    assert out == "r FALSE\n"
 
 def test_verbose_reports_nodes_before_and_after_preprocessing(
         tmp_path, capsys, caplog):

@@ -3,15 +3,18 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
 from qbfkit.aiger import write_aiger
 from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
 from qbfkit.certify import build_certificate
-from qbfkit.formula import InternalError
+from qbfkit.formula import (OR, Arena, InternalError, QbfProblem, Quantifier,
+                            Scope)
 from qbfkit.parsing import parse_qcir, parse_qdimacs
 from qbfkit.preprocess import preprocess
+from qbfkit.sat import Solver
 from qbfkit.solver import (ProofPair, SolveConfig, solve_abstraction,
                            solve_assignment)
 
@@ -178,3 +181,57 @@ def test_end_to_end_golden():
     assert end_to_end_digest(gen_random(GenSpec(seed=i))
                              for i in range(300)) == (
         "1b3a102fc02e348711fb7a444e6912064bd0b76e54aeb420035f43871b6e71e9")
+
+
+def search_digest(problems, monkeypatch):
+    """SHA-256 over every SAT call `solve_abstraction` makes on each problem
+    after preprocessing: its outcome, the conflicts it took and the size of
+    its core."""
+    log = []
+    solve = Solver.solve
+
+    def logged(self, assumptions=()):
+        before = self.conflicts
+        result = solve(self, assumptions)
+        log.append((result.sat, self.conflicts - before,
+                    len(result.failed or ())))
+        return result
+
+    monkeypatch.setattr(Solver, "solve", logged)
+    for problem in problems:
+        solve_abstraction(preprocess(problem)[0])
+    monkeypatch.undo()
+    return hashlib.sha256(repr(log).encode()).hexdigest()
+
+
+def test_search_golden(monkeypatch):
+    # Pins the search itself, call by call: a change to the abstractions
+    # that only drops clauses or variables no other one depends on must
+    # leave every SAT call's outcome, conflicts and core size as they were.
+    rng = random.Random(59)
+    randoms = [random_problem(rng, max_vars=8, max_budget=30, impure=True)
+               for _ in range(100)]
+    assert search_digest([*(gen_expansion_hard(n) for n in range(1, 7)),
+                          *(gen_qparity(n) for n in range(2, 7))],
+                         monkeypatch) == (
+        "93867bda471ffd5039fe89fd7c40295dcd0002651c4ad11e5a6d217e45fa331c")
+    assert search_digest(randoms, monkeypatch) == (
+        "781c088706b482224ff10497f34dcdb5c3a93736174780e5efb154b93b44e5f3")
+
+
+def test_deep_prefix_solves_at_the_default_recursion_limit():
+    # 1,100 alternating one-variable blocks over a matrix that only the two
+    # innermost read, so the first round descends through every block
+    n = 1100
+    assert sys.getrecursionlimit() < n
+    arena = Arena()
+    prefix = [Scope(Quantifier.EXISTS if v % 2 else Quantifier.FORALL, (v,))
+              for v in range(1, n + 1)]
+    problem = QbfProblem.make(
+        arena, prefix, arena.build(OR, [arena.lit(n - 1), arena.lit(n)]))
+    value, stats = solve_assignment(problem)
+    assert value is True
+    assert stats.sat_queries[-1] > 0
+    value, _, stats = solve_abstraction(problem)
+    assert value is True
+    assert stats.sat_queries[-1] > 0
