@@ -104,23 +104,26 @@ class Circuit:
             val[lhs], val[lhs + 1] = bit, not bit
         return {name: val[lit] for name, lit in self.outputs}
 
-    def cone_inputs(self, lit: int) -> set[str]:
-        """Names of the inputs the given literal structurally depends on."""
+    def cone(self, lit: int) -> list[int]:
+        """The non-constant variables the given literal structurally depends
+        on, itself included, in ascending (topological) order."""
         ninputs = len(self.inputs)
         seen: set[int] = set()
         stack = [lit // 2]
-        names: set[str] = set()
         while stack:
             v = stack.pop()
             if v == 0 or v in seen:
                 continue
             seen.add(v)
-            if v <= ninputs:
-                names.add(self.inputs[v - 1])
-            else:
+            if v > ninputs:
                 a, b = self._gates[v - ninputs - 1]
                 stack.extend((a // 2, b // 2))
-        return names
+        return sorted(seen)
+
+    def cone_inputs(self, lit: int) -> set[str]:
+        """Names of the inputs the given literal structurally depends on."""
+        ninputs = len(self.inputs)
+        return {self.inputs[v - 1] for v in self.cone(lit) if v <= ninputs}
 
 
 def write_aiger(circuit: Circuit) -> str:

@@ -17,6 +17,12 @@ conjunction of its grant conditions, pairs at a block are tried in recorded
 order, and the first guard that fires supplies the move. Outer strategy
 functions are substituted into deeper guards, which keeps every function a
 circuit over opposite-kind inputs only.
+
+Checking builds a miter: the certificate's gates and the matrix, with each
+function substituted for its variable, go into one structurally hashed
+and-inverter graph. A matrix subformula a grant condition copied becomes the
+gate it copied, so the SAT search never has to prove two copies equal; a
+goal that folds to a constant needs no search at all.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from .abstraction import InfluenceMap, compute_influence
 from .aiger import FALSE_LIT, TRUE_LIT, Circuit
 from .aiger import negate as aig_not
 from .formula import (AND, LIT, OR, TRUE, Arena, InternalError, QbfProblem,
-                      Quantifier, dependencies, postorder)
+                      Quantifier, dependencies, node_vars, postorder)
 from .parsing import ParseError
-from .sat import Solver, encode_nnf
+from .sat import Solver
 from .solver import ProofPair, ProofTrace
 
 
@@ -190,10 +196,16 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
 
     A well-formed certificate has one output per variable of its kind,
     reads only opposite-kind inputs, and respects the prefix order (each
-    function's input cone stays within the variables it may react to). A
-    valid one leaves the matrix impossible to falsify (Skolem) or to satisfy
-    (Herbrand) once its functions are substituted; otherwise the SAT model
-    is returned as a counterexample assignment of the input variables.
+    function's input cone stays within the variables it may react to).
+
+    Validity is decided on a miter: the certificate's gates and the matrix,
+    each function output in place of its variable, are built into one
+    circuit. The goal - the negated matrix (Skolem) or the matrix
+    (Herbrand) - must be unsatisfiable. A goal that folds to a constant is
+    decided at once, any other by one SAT call over the goal's cone. An
+    invalid certificate comes with a counterexample: values of the
+    opposite-kind variables, in variable order, under which the strategy
+    loses; inputs outside the goal's cone read False.
     """
     if circuit.kind == "skolem":
         func_q = Quantifier.EXISTS
@@ -202,10 +214,11 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
     else:
         return VerifyResult("ill-formed", reason="certificate kind is missing")
 
-    var_of_name = {name: v for v, name in problem.var_names.items()}
+    names = problem.var_names
+    var_of_name = {name: v for v, name in names.items()}
     func_vars = [v for v in problem.all_vars()
                  if problem.quantifier_of(v) is func_q]
-    expected = {problem.var_names[v] for v in func_vars}
+    expected = {names[v] for v in func_vars}
     produced = [name for name, _ in circuit.outputs]
     if len(produced) != len(set(produced)):
         return VerifyResult("ill-formed", reason="duplicate output")
@@ -213,52 +226,77 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
         return VerifyResult(
             "ill-formed",
             reason=f"outputs must be exactly the {circuit.kind} variables")
-    opposite = {problem.var_names[v] for v in problem.all_vars()
+    opposite = {names[v] for v in problem.all_vars()
                 if problem.quantifier_of(v) is not func_q}
     stray = sorted(set(circuit.inputs) - opposite)
     if stray:
         return VerifyResult(
             "ill-formed", reason=f"inputs {stray} are not reaction variables")
+    # The deepest prefix block of any input in each certificate variable's
+    # support, 0 for none. Every input is of the opposite kind, so a
+    # function reads only the variables it may react to iff that block lies
+    # before its own.
+    depth = [0] * (circuit.max_var + 1)
+    for name in circuit.inputs:
+        depth[circuit.input_lit(name) // 2] = problem.var_scope[
+            var_of_name[name]]
+    for lhs, a, b in circuit.gates:
+        depth[lhs // 2] = max(depth[a // 2], depth[b // 2])
     output_lit = dict(circuit.outputs)
     for v in func_vars:
-        name = problem.var_names[v]
-        allowed = {problem.var_names[d] for d in dependencies(problem, v)}
-        outside = sorted(circuit.cone_inputs(output_lit[name]) - allowed)
-        if outside:
+        lit = output_lit[names[v]]
+        if depth[lit // 2] >= problem.var_scope[v]:
+            allowed = {names[d] for d in dependencies(problem, v)}
+            outside = sorted(circuit.cone_inputs(lit) - allowed)
             return VerifyResult(
                 "ill-formed",
-                reason=f"function for {name} depends on {outside}, "
+                reason=f"function for {names[v]} depends on {outside}, "
                 "which are not outer variables of the opposite kind")
 
-    solver = Solver()
-    true_lit = solver.true_lit()
-    sat_var = {cv: solver.fresh_var()
-               for cv in range(1, circuit.max_var + 1)}
-
-    def to_sat(lit: int) -> int:
-        if lit < 2:
-            return true_lit if lit == 1 else -true_lit
-        base = sat_var[lit // 2]
-        return -base if lit & 1 else base
-
+    miter = Circuit()
+    lit_of = [FALSE_LIT] * (circuit.max_var + 1)  # certificate var -> literal
+    var_lit: dict[int, int] = {}
+    for name in circuit.inputs:
+        lit_of[circuit.input_lit(name) // 2] = var_lit[var_of_name[name]] = \
+            miter.add_input(name)
     for lhs, a, b in circuit.gates:
-        gate, lit_a, lit_b = to_sat(lhs), to_sat(a), to_sat(b)
-        solver.add_clause([-gate, lit_a])
-        solver.add_clause([-gate, lit_b])
-        solver.add_clause([gate, -lit_a, -lit_b])
-
-    var_map = {var_of_name[name]: to_sat(circuit.input_lit(name))
-               for name in circuit.inputs}
-    var_map.update({var_of_name[name]: to_sat(lit)
-                    for name, lit in circuit.outputs})
-    root = encode_nnf(solver, problem.arena, problem.matrix, var_map,
-                      negate=func_q is Quantifier.EXISTS)
-    solver.add_clause([root])
-    result = solver.solve([])
-    if not result.sat:
+        lit_of[lhs // 2] = miter.and_(lit_of[a // 2] ^ (a & 1),
+                                      lit_of[b // 2] ^ (b & 1))
+    for name, lit in circuit.outputs:
+        var_lit[var_of_name[name]] = lit_of[lit // 2] ^ (lit & 1)
+    for v in sorted(node_vars(problem.arena, problem.matrix) - var_lit.keys()):
+        var_lit[v] = miter.add_input(names[v])
+    matrix = _encode_formula(miter, problem.arena, problem.matrix, var_lit, {})
+    goal = aig_not(matrix) if func_q is Quantifier.EXISTS else matrix
+    if goal == FALSE_LIT:
         return VerifyResult("valid")
-    counterexample = {problem.var_names[v]: bool(result.model_value(lit))
-                      for v, lit in sorted(var_map.items())
+
+    value = {}  # miter variable -> value in the counterexample
+    if goal != TRUE_LIT:
+        solver = Solver()
+        cone = miter.cone(goal)
+        sat_var = {v: solver.fresh_var() for v in cone}
+
+        def to_sat(lit: int) -> int:
+            base = sat_var[lit // 2]
+            return -base if lit & 1 else base
+
+        gates, first_gate = miter.gates, len(miter.inputs) + 1
+        for v in cone:
+            if v < first_gate:
+                continue
+            _, a, b = gates[v - first_gate]
+            gate, lit_a, lit_b = sat_var[v], to_sat(a), to_sat(b)
+            solver.add_clause([-gate, lit_a])
+            solver.add_clause([-gate, lit_b])
+            solver.add_clause([gate, -lit_a, -lit_b])
+        solver.add_clause([to_sat(goal)])
+        result = solver.solve([])
+        if not result.sat:
+            return VerifyResult("valid")
+        value = {v: bool(result.model[s]) for v, s in sat_var.items()}
+    counterexample = {names[v]: value.get(lit // 2, False)
+                      for v, lit in sorted(var_lit.items())
                       if problem.quantifier_of(v) is not func_q}
     failure = ("the matrix can be falsified" if circuit.kind == "skolem"
                else "the matrix can be satisfied")

@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
     if result.status == "invalid":
         print("Invalid")
         assignment = " ".join(f"{name}={int(val)}" for name, val in
-                              sorted(result.counterexample.items()))
+                              result.counterexample.items())
         print(f"counterexample: {assignment}")
     else:
         print("IllFormed")

@@ -375,10 +375,10 @@ def encode_nnf(solver: Solver, arena: Arena, node: int,
     """Encode an NNF subformula one-sidedly; the returned literal implies it.
 
     `var_map` maps formula variables to solver variables and is extended on
-    demand; entries may also be preset to arbitrary solver literals, which is
-    how certificate functions are substituted for variables. The literal is
-    memoized per structural class (`arena.canon`), so a node gets one gate
-    however many parents it has, and structurally equal nodes share it.
+    demand; entries may also be preset to arbitrary solver literals. The
+    literal is memoized per structural class (`arena.canon`), so a node gets
+    one gate however many parents it has, and structurally equal nodes share
+    it.
     """
     kinds, payload, canon = arena.kinds, arena.payload, arena.canon
     gate_of: dict[int, int] = {}  # class id -> literal

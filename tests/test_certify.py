@@ -7,7 +7,8 @@ import time
 import pytest
 
 from qbfkit.abstraction import compute_influence
-from qbfkit.aiger import TRUE_LIT, Circuit, read_aiger, write_aiger
+from qbfkit.aiger import TRUE_LIT, Circuit, negate, read_aiger, write_aiger
+from qbfkit.bench import GenSpec, gen_qparity, gen_random
 from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
                             write_trace)
@@ -16,6 +17,7 @@ from qbfkit.formula import (AND, OR, Arena, InternalError, QbfProblem,
                             subformulas)
 from qbfkit.parsing import ParseError, parse_qcir, write_qcir
 from qbfkit.preprocess import preprocess
+from qbfkit.sat import Solver
 from qbfkit.solver import (ProofPair, ProofTrace, solve_abstraction,
                            solve_assignment)
 
@@ -265,6 +267,78 @@ def test_verify_enforces_the_prefix_order():
     assert verify(problem, proper).valid
 
 
+XNOR_QCIR = """\
+#QCIR-G14
+forall(x, z)
+exists(y)
+output(f)
+both = and(x, y)
+neither = and(-x, -y)
+same = or(both, neither)
+f = and(same, z)
+"""
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Conflicts made by each `Solver.solve` call, in call order."""
+    calls = []
+    solve = Solver.solve
+
+    def counted(solver, assumptions=()):
+        before = solver.conflicts
+        result = solve(solver, assumptions)
+        calls.append(solver.conflicts - before)
+        return result
+
+    monkeypatch.setattr(Solver, "solve", counted)
+    return calls
+
+
+def skolem_circuit(inputs, output_of):
+    """A Skolem certificate with the given inputs whose outputs are built
+    from the input literals by `output_of`."""
+    circuit = Circuit()
+    circuit.kind = "skolem"
+    lits = {name: circuit.add_input(name) for name in inputs}
+    for name, lit in output_of(lits).items():
+        circuit.add_output(name, lit)
+    return circuit
+
+
+def test_verify_decides_a_goal_folded_to_false_without_sat(solve_calls):
+    problem = parse_qcir(XNOR_QCIR.replace(
+        "f = and(same, z)", "f = or(same, z)"))
+    circuit = skolem_circuit(["x", "z"], lambda lit: {"y": lit["x"]})
+    assert verify(problem, circuit).status == "valid"
+    assert solve_calls == []
+
+
+def test_verify_decides_a_goal_folded_to_true_without_sat(solve_calls):
+    # y := -x makes `same` false whatever x and z are, so every assignment
+    # falsifies the matrix; the counterexample names each universal.
+    problem = parse_qcir(XNOR_QCIR)
+    circuit = skolem_circuit(["x"], lambda lit: {"y": negate(lit["x"])})
+    result = verify(problem, circuit)
+    assert result.status == "invalid"
+    assert result.counterexample == {"x": False, "z": False}
+    assert solve_calls == []
+
+
+def test_verify_makes_one_cheap_sat_call_on_chained_parity(solve_calls):
+    # The Herbrand function copies the parity chain out of the matrix; the
+    # miter's structural hashing makes the copy and the original one gate.
+    problem = gen_qparity(64, chain=True)
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    circuit = build_certificate(problem, reduced, info.eliminated, trace,
+                                value)
+    solve_calls.clear()
+    assert verify(problem, circuit).status == "valid"
+    assert len(solve_calls) == 1
+    assert solve_calls[0] <= 300
+
+
 # ----------------------------------------------------------------------
 # trace files
 
@@ -332,6 +406,73 @@ def test_certificates_extend_across_preprocessing():
         assert result.status == "valid", (value, result, write_qcir(original))
         reduced_somewhere += bool(info.eliminated)
     assert reduced_somewhere
+
+
+def opposite_vars(problem, circuit):
+    """The variables a certificate's functions react to, in prefix order."""
+    func_q = (Quantifier.EXISTS if circuit.kind == "skolem"
+              else Quantifier.FORALL)
+    return [v for v in problem.all_vars()
+            if problem.quantifier_of(v) is not func_q]
+
+
+def brute_force_check(problem, circuit):
+    """`verify`'s status of a well-formed certificate, found by trying
+    every assignment of the opposite-kind variables."""
+    opposite = opposite_vars(problem, circuit)
+    for bits in itertools.product((False, True), repeat=len(opposite)):
+        if substituted_matrix(problem, circuit, dict(zip(opposite, bits))) \
+                != (circuit.kind == "skolem"):
+            return "invalid"
+    return "valid"
+
+
+def substituted_matrix(problem, circuit, values):
+    """The matrix's value once the certificate's functions, evaluated under
+    `values` (opposite-kind variable -> bool), are substituted."""
+    names = problem.var_names
+    var_of_name = {name: v for v, name in names.items()}
+    outputs = circuit.evaluate({name: values[var_of_name[name]]
+                                for name in circuit.inputs})
+    full = dict(values)
+    full.update((var_of_name[name], bit) for name, bit in outputs.items())
+    return bool(evaluate(problem.arena, problem.matrix, full))
+
+
+def test_verify_agrees_with_brute_force_on_certificates_and_mutants():
+    # Each certificate after an AIGER round trip, and a mutant with one
+    # output negated; every invalid one must come with a counterexample
+    # under which the strategy really loses.
+    statuses = {"valid": 0, "invalid": 0}
+    for seed in range(300):
+        problem = gen_random(GenSpec(seed=seed, max_vars=10, max_nodes=60))
+        reduced, info = preprocess(problem)
+        value, trace, _ = solve_abstraction(reduced)
+        aag = write_aiger(build_certificate(problem, reduced, info.eliminated,
+                                            trace, value))
+        circuits = [read_aiger(aag)]
+        if circuits[0].outputs:
+            mutant = read_aiger(aag)
+            i = seed % len(mutant.outputs)
+            name, lit = mutant.outputs[i]
+            mutant.outputs[i] = (name, negate(lit))
+            circuits.append(mutant)
+        for circuit in circuits:
+            result = verify(problem, circuit)
+            expected = brute_force_check(problem, circuit)
+            assert result.status == expected, (seed, write_qcir(problem))
+            statuses[expected] += 1
+            if expected == "valid":
+                continue
+            assert set(result.counterexample) >= set(circuit.inputs)
+            var_of_name = {name: v
+                           for v, name in problem.var_names.items()}
+            values = dict.fromkeys(opposite_vars(problem, circuit), False)
+            values.update((var_of_name[name], bit)
+                          for name, bit in result.counterexample.items())
+            assert substituted_matrix(problem, circuit, values) is (
+                circuit.kind == "herbrand"), (seed, result)
+    assert statuses["valid"] > 250 and statuses["invalid"] > 40, statuses
 
 
 # ----------------------------------------------------------------------

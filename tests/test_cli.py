@@ -176,6 +176,19 @@ def test_verify_invalid_prints_a_counterexample(example_path, tmp_path,
     assert "counterexample: x=0" in out
 
 
+def test_verify_prints_the_counterexample_in_prefix_order(tmp_path, capsys):
+    names = [f"x{i}" for i in range(1, 13)]
+    problem = tmp_path / "wide.qcir"
+    problem.write_text(f"#QCIR-G14\nforall({', '.join(names)})\nexists(y)\n"
+                       f"output(f)\nf = or({', '.join(names)}, y)\n")
+    cert = tmp_path / "false.aag"  # y := false loses when every x is 0
+    cert.write_text("aag 0 0 0 1 0\n0\no0 y\nc\nskolem\n")
+    code, out, _ = run(capsys, "verify", str(problem), str(cert))
+    assert code == 2
+    assert out.splitlines()[1] == "counterexample: " + " ".join(
+        f"{name}=0" for name in names)
+
+
 def test_verify_reports_ill_formed(example_path, tmp_path, capsys):
     cert = tmp_path / "nokind.aag"
     cert.write_text("aag 1 1 0 1 0\n2\n3\ni0 x\no0 y\n")
