@@ -5,6 +5,15 @@ are fed as leading decisions and cores are extracted from the implication
 graph, Minisat style. Decisions follow variable activity with a deterministic
 index tie-break and a default false phase, so identical clause and assumption
 sequences reproduce identical models.
+
+A backjump that would undo more than `CHRONO_THRESHOLD` levels backtracks
+chronologically instead, to one level below the conflict, and the asserting
+literal joins the trail out of order at its assertion level (Nadel and
+Ryvchin, "Chronological Backtracking", SAT 2018; Moehle and Biere, "Backing
+Backtracking", SAT 2019). While such literals are on the trail, an implied
+literal takes the highest level among its reason's other literals, a conflict
+is analysed at the highest level in its clause, and a backtrack keeps the
+literals at or below its target and propagates them again.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from dataclasses import dataclass
 from .formula import AND, FALSE, LIT, TRUE, Arena, postorder
 
 _UNDEF = -1
+CHRONO_THRESHOLD = 100  # longest backjump taken non-chronologically, in levels
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,7 @@ class Solver:
         self.seen: list[bool] = [False]
         self.order: list[tuple[float, int]] = []
         self.var_inc = 1.0
+        self._out_of_order = False  # trail levels are not ascending
         self.conflicts = 0
         self.propagations = 0
         self._true_lit = 0
@@ -133,10 +144,11 @@ class Solver:
     # ------------------------------------------------------------------
     # trail
 
-    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None,
+                 level: int | None = None) -> None:
         v = abs(lit)
         self.assign[v] = 1 if lit > 0 else 0
-        self.level[v] = len(self.trail_lim)
+        self.level[v] = len(self.trail_lim) if level is None else level
         self.reason[v] = reason
         self.trail.append(lit)
 
@@ -144,14 +156,21 @@ class Solver:
         if len(self.trail_lim) <= target_level:
             return
         bound = self.trail_lim[target_level]
+        keep = self._out_of_order
+        kept: list[int] = []  # out-of-order literals, propagated again
         for lit in self.trail[bound:]:
             v = abs(lit)
+            if keep and self.level[v] <= target_level:
+                kept.append(lit)
+                continue
             self.assign[v] = _UNDEF
             self.reason[v] = None
             heapq.heappush(self.order, (-self.activity[v], v))
-        del self.trail[bound:]
+        self.trail[bound:] = kept
         del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = bound
+        if target_level == 0:
+            self._out_of_order = False
 
     # ------------------------------------------------------------------
     # propagation
@@ -160,6 +179,8 @@ class Solver:
         trail = self.trail
         watches = self.watches
         assign = self.assign
+        level = self.level
+        out_of_order = self._out_of_order
         while self.qhead < len(trail):
             p = trail[self.qhead]
             self.qhead += 1
@@ -196,7 +217,9 @@ class Solver:
                     watches[idx] = kept
                     self.qhead = len(trail)
                     return c
-                self._enqueue(first, c)
+                self._enqueue(first, c, max(
+                    level[abs(q)] for q in itertools.islice(c, 1, None))
+                    if out_of_order else None)
             watches[idx] = kept
         return None
 
@@ -211,12 +234,36 @@ class Solver:
             for i in range(1, self.nvars + 1):
                 self.activity[i] *= inv
             self.var_inc *= inv
-        if self.assign[v] == _UNDEF:
+            self._rebuild_order()
+        elif self.assign[v] == _UNDEF:
             heapq.heappush(self.order, (-self.activity[v], v))
+
+    def _rebuild_order(self) -> None:
+        self.order = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
+                      if self.assign[v] == _UNDEF]
+        heapq.heapify(self.order)
+
+    def _watch_highest(self, c: list[int]) -> tuple[int, int]:
+        """Move the two highest-level literals of `c` to its watched front,
+        moving its watches with them; return their two levels."""
+        level = self.level
+        old = c[:2]
+        for pos in (0, 1):
+            best = max(range(pos, len(c)), key=lambda k: level[abs(c[k])])
+            c[pos], c[best] = c[best], c[pos]
+        for lit in old:
+            if lit not in c[:2]:
+                ws = self.watches[self._widx(lit)]
+                del ws[next(i for i, w in enumerate(ws) if w is c)]
+        for lit in c[:2]:
+            if lit not in old:
+                self.watches[self._widx(lit)].append(c)
+        return level[abs(c[0])], level[abs(c[1])]
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = []
-        current = len(self.trail_lim)
+        current = len(self.trail_lim)  # the conflict level
+        level = self.level
         seen = self.seen
         cleared: list[int] = []
         counter = 0
@@ -234,7 +281,8 @@ class Solver:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while (not seen[abs(self.trail[idx])]
+                   or level[abs(self.trail[idx])] < current):
                 idx -= 1
             p = self.trail[idx]
             seen[abs(p)] = False
@@ -311,9 +359,7 @@ class Solver:
             self.ok = False
             return SolveResult(False, failed=())
 
-        self.order = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
-                      if self.assign[v] == _UNDEF]
-        heapq.heapify(self.order)
+        self._rebuild_order()
         restart_budget = 100
         conflicts_here = 0
         try:
@@ -322,16 +368,27 @@ class Solver:
                 if confl is not None:
                     self.conflicts += 1
                     conflicts_here += 1
+                    if self._out_of_order:
+                        top, second = self._watch_highest(confl)
+                        if second < top:  # an implication missed at `second`
+                            self._cancel_until(top - 1)
+                            self._enqueue(confl[0], confl, second)
+                            continue
+                        self._cancel_until(top)
                     if not self.trail_lim:
                         self.ok = False
                         return SolveResult(False, failed=())
                     learnt, bt = self._analyze(confl)
-                    self._cancel_until(bt)
+                    target = bt
+                    if len(self.trail_lim) - bt > CHRONO_THRESHOLD:
+                        target = len(self.trail_lim) - 1
+                        self._out_of_order = True
+                    self._cancel_until(target)
                     if len(learnt) == 1:
-                        self._enqueue(learnt[0], None)
+                        self._enqueue(learnt[0], None, 0)
                     else:
                         self._attach(learnt)
-                        self._enqueue(learnt[0], learnt)
+                        self._enqueue(learnt[0], learnt, bt)
                     self.var_inc /= 0.95
                     if conflicts_here >= restart_budget:
                         conflicts_here = 0

@@ -8,7 +8,7 @@ import pytest
 
 from qbfkit.abstraction import compute_influence
 from qbfkit.aiger import TRUE_LIT, Circuit, negate, read_aiger, write_aiger
-from qbfkit.bench import GenSpec, gen_qparity, gen_random
+from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
 from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
                             write_trace)
@@ -337,6 +337,33 @@ def test_verify_makes_one_cheap_sat_call_on_chained_parity(solve_calls):
     assert verify(problem, circuit).status == "valid"
     assert len(solve_calls) == 1
     assert solve_calls[0] <= 300
+
+
+def test_verify_backtracks_chronologically_on_expansion_hard(monkeypatch):
+    # Half the clauses this check learns are units that would undo about a
+    # hundred decision levels each; chronological backtracking keeps those
+    # levels instead of propagating them again.
+    problem = gen_expansion_hard(256)
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    circuit = build_certificate(problem, reduced, info.eliminated, trace,
+                                value)
+    counts = []
+    solve = Solver.solve
+
+    def counted(solver, assumptions=()):
+        before = solver.conflicts, solver.propagations
+        result = solve(solver, assumptions)
+        counts.append((solver.conflicts - before[0],
+                       solver.propagations - before[1]))
+        return result
+
+    monkeypatch.setattr(Solver, "solve", counted)
+    assert verify(problem, circuit).status == "valid"
+    assert len(counts) == 1
+    conflicts, propagations = counts[0]
+    assert conflicts == 510
+    assert propagations <= 150_000
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qbfkit import sat
 from qbfkit.formula import AND, OR, Arena, evaluate, subformulas
 from qbfkit.sat import Solver, SolveResult, encode_nnf
 
@@ -343,3 +344,99 @@ def test_to_dimacs_lists_every_clause():
     assert lines[0] == "p cnf 3 3"
     assert "1 -2 0" in lines
     assert len(lines) == 4
+
+
+# ----------------------------------------------------------------------
+# chronological backtracking
+
+
+@pytest.fixture
+def always_chronological(monkeypatch):
+    """Every backjump of two or more levels backtracks chronologically."""
+    monkeypatch.setattr(sat, "CHRONO_THRESHOLD", 0)
+
+
+@pytest.mark.parametrize("check", [
+    test_against_truth_table_oracle,
+    test_assumption_results_match_conditioned_table,
+    test_core_property_random,
+    test_failed_assumptions_are_a_core,
+    test_core_via_root_implication,
+    test_incremental_clause_addition,
+], ids=lambda check: check.__name__)
+def test_chronological_backtracking_passes_the_solver_tests(
+        always_chronological, check):
+    check()
+
+
+def truth_table_rows(nvars):
+    """For each literal, the rows of the truth table (bit v-1 of row r is
+    variable v) that make it true, as the bits of one integer."""
+    full = (1 << 2 ** nvars) - 1
+    rows = {}
+    for v in range(1, nvars + 1):
+        half = 1 << (v - 1)
+        period = ((1 << half) - 1) << half  # true on half of 2**v rows
+        pos = period * (full // ((1 << 2 * half) - 1))
+        rows[v], rows[-v] = pos, full ^ pos
+    return rows, full
+
+
+def random_3cnf(rng, nvars, nclauses):
+    return [[v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, nvars + 1), 3)]
+            for _ in range(nclauses)]
+
+
+def rows_satisfying(rows, clause):
+    out = 0
+    for lit in clause:
+        out |= rows[lit]
+    return out
+
+
+def test_chronological_backtracking_against_brute_force(
+        always_chronological, seed=4):
+    # 3-CNF near the satisfiability threshold, so that searches backjump;
+    # each solver answers four assumption queries and gains a clause after
+    # each one. `models` is the bit set of rows that satisfy every clause.
+    rng = random.Random(seed)
+    for _ in range(600):
+        nv = rng.randint(8, 14)
+        rows, full = truth_table_rows(nv)
+        clauses = random_3cnf(rng, nv, rng.randint(3 * nv, 5 * nv))
+        s = new_solver(nv, clauses)
+        models = full
+        for clause in clauses:
+            models &= rows_satisfying(rows, clause)
+        for _ in range(4):
+            assumps = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, nv + 1),
+                                           rng.randint(0, 3))]
+            res = s.solve(assumps)
+            conditioned = models
+            for a in assumps:
+                conditioned &= rows[a]
+            assert res.sat == (conditioned != 0)
+            if res.sat:
+                check_model(res, clauses + [[a] for a in assumps])
+            else:
+                assert set(res.failed) <= set(assumps)
+                core = models
+                for a in res.failed:
+                    core &= rows[a]
+                assert core == 0
+            clause = random_3cnf(rng, nv, 1)[0]
+            s.add_clause(clause)
+            clauses.append(clause)
+            models &= rows_satisfying(rows, clause)
+
+
+def test_activity_rescale_keeps_decisions_in_activity_order():
+    s = new_solver(4)
+    s.activity[1:] = [3.0, 0.0, 0.0, 3.0]
+    s.solve()  # decides every variable, then queues all four again
+    s.var_inc = 1e101
+    s._bump(2)  # passes 1e100, so every activity is scaled by 1e-100
+    assert s.activity[2] > s.activity[1] == s.activity[4] > s.activity[3]
+    assert [s._pick_branch_var() for _ in range(4)] == [2, 1, 4, 3]
