@@ -33,7 +33,7 @@ from .abstraction import InfluenceMap, compute_influence
 from .aiger import FALSE_LIT, TRUE_LIT, Circuit
 from .aiger import negate as aig_not
 from .formula import (AND, LIT, OR, TRUE, Arena, InternalError, QbfProblem,
-                      Quantifier, dependencies, node_vars, postorder)
+                      Quantifier, class_postorder, dependencies, node_vars)
 from .parsing import ParseError
 from .sat import Solver
 from .solver import ProofPair, ProofTrace
@@ -65,9 +65,10 @@ def _condition(circuit: Circuit, problem: QbfProblem, influence: InfluenceMap,
     """Encode the grant condition of `node` at a block into the circuit.
 
     The condition keeps the children of `node` whose `max_scope` lies
-    before the block, each encoded once per node through `encoded` (see
-    `_encode_formula`) and negated at a universal block. The pieces are
-    joined by the node's connective, dualized at a universal block.
+    before the block, each encoded once per structural class through
+    `encoded` (see `_encode_formula`) and negated at a universal block. The
+    pieces are joined by the node's connective, dualized at a universal
+    block.
     """
     if not influence.straddles(node, scope_index - 1):
         raise InternalError(
@@ -90,25 +91,26 @@ def _encode_formula(circuit: Circuit, arena: Arena, node: int,
     """Encode an NNF subformula into the circuit, substituting variables.
 
     `var_lit` maps each variable of the subformula to a circuit literal.
-    `encoded` memoizes the circuit literal of every node of `arena` encoded
-    so far, across calls. Reusing it is sound as long as no entry of
-    `var_lit` that an encoded node reads is changed afterwards.
+    `encoded` memoizes the circuit literal of every structural class
+    (`arena.canon`) encoded so far, across calls, so each class is encoded
+    once however many nodes it has. Reusing it is sound as long as no entry
+    of `var_lit` that an encoded class reads is changed afterwards.
     """
-    kinds, payload = arena.kinds, arena.payload
-    for n in postorder(arena, node, encoded):
+    kinds, payload, canon = arena.kinds, arena.payload, arena.canon
+    for n in class_postorder(arena, node, encoded):
         kind = kinds[n]
         if kind == LIT:
             lit = payload[n]
             base = var_lit[abs(lit)]
             out = base if lit > 0 else aig_not(base)
         elif kind == AND:
-            out = circuit.and_many([encoded[c] for c in payload[n]])
+            out = circuit.and_many([encoded[canon[c]] for c in payload[n]])
         elif kind == OR:
-            out = circuit.or_many([encoded[c] for c in payload[n]])
+            out = circuit.or_many([encoded[canon[c]] for c in payload[n]])
         else:
             out = TRUE_LIT if kind == TRUE else FALSE_LIT
-        encoded[n] = out
-    return encoded[node]
+        encoded[canon[n]] = out
+    return encoded[canon[node]]
 
 
 def extract_functions(problem: QbfProblem, trace: ProofTrace,
@@ -140,7 +142,7 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
         influence = compute_influence(reduced)
         # Grant conditions at block k read only variables of blocks before k,
         # whose entries in var_lit are final by then, so one memo of encoded
-        # nodes serves every block.
+        # classes serves every block.
         encoded: dict[int, int] = {}
         condition: dict[tuple[int, int], int] = {}  # (node, block) -> literal
 

@@ -37,9 +37,13 @@ class Arena:
     its literal, or by its kind and its children's class ids: two nodes get
     the same class exactly when they are structurally equal. Nodes of one
     class are not merged here; each `lit` and `build` call still appends a
-    node. Merging happens in the passes that read a parsed matrix:
-    preprocessing copies one node per class, and `encode_nnf` encodes one
-    gate per class.
+    node. Most passes that read a matrix merge them: they walk it with
+    `class_postorder` and key their memos by class id, so
+    `QbfProblem.make`, `evaluate`, preprocessing, `encode_nnf` and the
+    certificate encoder each handle every class once, and preprocessing
+    copies one node per class. `compute_influence` (in `abstraction`),
+    and so the per-block abstractions, still see every node, since each
+    needs its own `max_scope`; `write_qcir` writes every occurrence.
     A node's children always exist before it, so ascending ids are a
     topological order. Constants may exist in the arena but `build` folds
     them away, so they never remain inside a normalized matrix.
@@ -139,10 +143,34 @@ def postorder(arena: Arena, node: int, done=()) -> list[int]:
     return list(out)
 
 
+def class_postorder(arena: Arena, node: int, done=()) -> list[int]:
+    """One node per structural class reachable from `node`, skipping the
+    class ids in `done`: the first node of each class to finish, in
+    `postorder`'s order. The walk never enters a node whose class it has
+    listed, as that node's subformula holds no class it has not, so its
+    cost is the number of classes, not of nodes."""
+    kinds, payload, canon = arena.kinds, arena.payload, arena.canon
+    out: dict[int, int] = {}  # class id -> first node of it to finish
+    stack = [] if canon[node] in done else [node]
+    while stack:
+        n = stack.pop()
+        if n < 0:  # finish ~n; a class finished twice keeps its first node
+            out.setdefault(canon[~n], ~n)
+        elif canon[n] not in out:
+            stack.append(~n)
+            if kinds[n] != LIT:  # constants have no children
+                for c in reversed(payload[n]):
+                    k = canon[c]
+                    if k not in out and k not in done:
+                        stack.append(~c if kinds[c] == LIT else c)
+    return list(out.values())
+
+
 def node_vars(arena: Arena, node: int) -> set[int]:
     """Variables occurring in the subformula rooted at `node`."""
     kinds, payload = arena.kinds, arena.payload
-    return {abs(payload[n]) for n in subformulas(arena, node) if kinds[n] == LIT}
+    return {abs(payload[n]) for n in class_postorder(arena, node)
+            if kinds[n] == LIT}
 
 
 def evaluate(arena: Arena, node: int, values) -> int:
@@ -150,23 +178,24 @@ def evaluate(arena: Arena, node: int, values) -> int:
 
     Raises ValueError when a variable of the subformula is unassigned.
     """
-    kinds, payload = arena.kinds, arena.payload
-    value: dict[int, int] = {}
-    for n in postorder(arena, node):
+    kinds, payload, canon = arena.kinds, arena.payload, arena.canon
+    value: dict[int, int] = {}  # class id -> its value
+    for n in class_postorder(arena, node):
         kind = kinds[n]
         if kind == LIT:
             lit = payload[n]
             val = values.get(abs(lit))
             if val is None:
                 raise ValueError(f"variable {abs(lit)} is unassigned")
-            value[n] = int(bool(val)) if lit > 0 else 1 - int(bool(val))
+            out = int(bool(val)) if lit > 0 else 1 - int(bool(val))
         elif kind == AND:
-            value[n] = int(all(value[c] for c in payload[n]))
+            out = int(all(value[canon[c]] for c in payload[n]))
         elif kind == OR:
-            value[n] = int(any(value[c] for c in payload[n]))
+            out = int(any(value[canon[c]] for c in payload[n]))
         else:
-            value[n] = int(kind == TRUE)
-    return value[node]
+            out = int(kind == TRUE)
+        value[canon[n]] = out
+    return value[canon[node]]
 
 
 @dataclass(frozen=True)
@@ -275,16 +304,16 @@ def problems_equal(a: QbfProblem, b: QbfProblem) -> bool:
     classes: dict[tuple, int] = {}
 
     def root_class(p: QbfProblem) -> int:
-        kinds, payload = p.arena.kinds, p.arena.payload
-        canon: dict[int, int] = {}
-        for n in postorder(p.arena, p.matrix):
+        kinds, payload, canon = p.arena.kinds, p.arena.payload, p.arena.canon
+        shared: dict[int, int] = {}  # class id in p's arena -> in `classes`
+        for n in class_postorder(p.arena, p.matrix):
             kind = kinds[n]
             if kind == LIT:
                 lit = payload[n]
                 key = (LIT, lit > 0, p.var_names[abs(lit)])
             else:
-                key = (kind, tuple(canon[c] for c in payload[n]))
-            canon[n] = classes.setdefault(key, len(classes))
-        return canon[p.matrix]
+                key = (kind, tuple(shared[canon[c]] for c in payload[n]))
+            shared[canon[n]] = classes.setdefault(key, len(classes))
+        return shared[canon[p.matrix]]
 
     return root_class(a) == root_class(b)

@@ -33,24 +33,21 @@ _OUTPUT = re.compile(r"output\s*\((.*)\)\Z", re.IGNORECASE)
 
 _QUANT_KEYWORDS = {"exists": Quantifier.EXISTS, "forall": Quantifier.FORALL}
 
+_EXPAND, _BUILD, _UNBIND = range(3)  # work items of `_QcirReader.expand`
+
 
 class ParseError(Exception):
     """Malformed problem file; the message names the offending line."""
 
 
 def _split_args(text: str):
-    parts = [p.strip() for p in text.split(",")]
-    if parts == [""]:
-        return []
-    return parts
+    return [p.strip() for p in text.split(",")] if text.strip() else []
 
 
 def _check_literal(token: str, lineno: int) -> tuple[str, bool]:
     if not _LITERAL.match(token):
         raise ParseError(f"line {lineno}: bad literal {token!r}")
-    if token.startswith("-"):
-        return token[1:], True
-    return token, False
+    return (token[1:], True) if token[0] == "-" else (token, False)
 
 
 class _QcirReader:
@@ -63,10 +60,11 @@ class _QcirReader:
         self.free_ids: list[int] = []
         self.explicit: list[Scope] = []
         self.hoisted: list[Scope] = []
-        self.gates: dict[str, tuple] = {}  # name -> (op, payload, lineno, number)
+        # name -> (op, args, lineno, number), each argument a (name, negated)
+        # pair; a gate quantifier's op is (quantifier, bound names, argument)
+        self.gates: dict[str, tuple] = {}
         self.node_gate: dict[int, int] = {}
-        self.output_token: str | None = None
-        self.output_line = 0
+        self.output: tuple[str, bool] | None = None  # (name, negated)
         self.bound: dict[str, int] = {}  # gate-quantifier bindings in scope
         self.expanding: set[str] = set()
         self.expanded: dict[tuple[str, bool], int] = {}  # (gate, negate) -> node
@@ -110,29 +108,29 @@ class _QcirReader:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            # gate lines first, as most lines are gates; no line matches two
+            # patterns, since the leading word is followed by `=` in a gate
+            # and by `(` in a block or the output
+            gate = _GATE_DEF.match(line)
+            if gate:
+                self._read_gate(gate, lineno, next(gate_number))
+                continue
             block = _BLOCK.match(line)
             if block:
                 self._read_block(block, lineno)
                 continue
             out = _OUTPUT.match(line)
             if out:
-                if self.output_token is not None:
+                if self.output is not None:
                     raise ParseError(f"line {lineno}: second output statement")
-                token = out.group(1).strip()
-                _check_literal(token, lineno)
-                self.output_token = token
-                self.output_line = lineno
-                continue
-            gate = _GATE_DEF.match(line)
-            if gate:
-                self._read_gate(gate, lineno, next(gate_number))
+                self.output = _check_literal(out.group(1).strip(), lineno)
                 continue
             raise ParseError(f"line {lineno}: cannot parse {line!r}")
-        if self.output_token is None:
+        if self.output is None:
             raise ParseError("missing output statement")
 
     def _read_block(self, match: re.Match, lineno: int) -> None:
-        if self.output_token is not None:
+        if self.output is not None:
             raise ParseError(f"line {lineno}: quantifier block after output")
         keyword = match.group(1).lower()
         names = _split_args(match.group(2))
@@ -151,15 +149,13 @@ class _QcirReader:
             self.explicit.append(Scope(_QUANT_KEYWORDS[keyword], tuple(ids)))
 
     def _read_gate(self, match: re.Match, lineno: int, number: int) -> None:
-        if self.output_token is None:
+        if self.output is None:
             raise ParseError(f"line {lineno}: gate definition before output")
         name, op, body = match.group(1), match.group(2).lower(), match.group(3)
         if name in self.var_ids or name in self.gates:
             raise ParseError(f"line {lineno}: {name!r} is already defined")
         if op in ("and", "or", "xor", "ite"):
-            args = _split_args(body)
-            for a in args:
-                _check_literal(a, lineno)
+            args = [_check_literal(a, lineno) for a in _split_args(body)]
             if op == "xor" and len(args) != 2:
                 raise ParseError(f"line {lineno}: xor takes exactly two arguments")
             if op == "ite" and len(args) != 3:
@@ -175,23 +171,69 @@ class _QcirReader:
             for b in bound:
                 if not _IDENT.match(b):
                     raise ParseError(f"line {lineno}: bad variable name {b!r}")
-            inner = tail.strip()
-            _check_literal(inner, lineno)
+            inner = _check_literal(tail.strip(), lineno)
             self.gates[name] = ((_QUANT_KEYWORDS[op], bound, inner), None, lineno, number)
         else:
             raise ParseError(f"line {lineno}: unknown gate type {op!r}")
 
     # -- expansion to NNF -------------------------------------------------
+    #
+    # `expand` runs over an explicit stack of work items, taking them in the
+    # order a recursion over gate arguments would, so nodes, variables and
+    # hoisted blocks are created in that order. An item's first field says
+    # what to do:
+    #   (_EXPAND, name, negate)    push the node of a literal
+    #   (_BUILD, kind, arity, gate)
+    #                              replace the top `arity` nodes by their
+    #                              `kind`; that node expands `gate` unless
+    #                              it is None
+    #   (_UNBIND, saved, gate)     leave a gate quantifier's bindings; the
+    #                              top node expands `gate`
+    # where `gate` is (name, negate, shareable, number).
 
-    def expand(self, token: str, negate: bool) -> int:
-        name, neg = _check_literal(token, self.output_line)
-        negate ^= neg
-        if name in self.gates and name not in self.bound:
-            return self._expand_gate(name, negate)
-        v = self._resolve_var(name)
-        return self.arena.lit(-v if negate else v)
+    def expand(self, name: str, negate: bool) -> int:
+        """The NNF node of a literal: a variable's leaf, or a gate expanded
+        with its polarity pushed down to the leaves."""
+        arena, bound, gates = self.arena, self.bound, self.gates
+        nodes: list[int] = []
+        work: list[tuple] = [(_EXPAND, name, negate)]
+        while work:
+            item = work.pop()
+            what = item[0]
+            if what == _EXPAND:
+                _, name, negate = item
+                if name in gates and name not in bound:
+                    node = self._enter_gate(name, negate, work)
+                    if node is not None:
+                        nodes.append(node)
+                else:
+                    v = self._resolve_var(name)
+                    nodes.append(arena.lit(-v if negate else v))
+                continue
+            if what == _BUILD:
+                _, kind, arity, gate = item
+                at = len(nodes) - arity
+                node = arena.build(kind, nodes[at:])
+                del nodes[at:]
+                nodes.append(node)
+            else:
+                _, saved, gate = item
+                for b, old in saved.items():
+                    if old is None:
+                        del bound[b]
+                    else:
+                        bound[b] = old
+            if gate is not None:
+                name, negate, shareable, number = gate
+                self.expanding.discard(name)
+                self.node_gate.setdefault(nodes[-1], number)
+                if shareable:
+                    self.expanded[name, negate] = nodes[-1]
+        return nodes[0]
 
-    def _expand_gate(self, name: str, negate: bool) -> int:
+    def _enter_gate(self, name: str, negate: bool, work: list) -> int | None:
+        """The node of a gate expanded before, or None after pushing the
+        work items that expand it."""
         # Outside every gate quantifier a gate's expansion depends only on
         # the gate and the polarity. That holds for a gate that hoists a
         # quantifier too: its block is the same function of the outer
@@ -207,57 +249,47 @@ class _QcirReader:
             raise ParseError(f"line {line}: gate {name!r} is defined cyclically")
         op, args, _, number = self.gates[name]
         self.expanding.add(name)
-        try:
-            node = self._expand_body(op, args, negate)
-        finally:
-            self.expanding.discard(name)
-        self.node_gate.setdefault(node, number)
-        if shareable:
-            self.expanded[name, negate] = node
-        return node
-
-    def _expand_body(self, op, args, negate: bool) -> int:
-        build = self.arena.build
+        gate = (name, negate, shareable, number)
         if op == "and" or op == "or":
             kind = op if not negate else (OR if op == "and" else AND)
-            return build(kind, [self.expand(a, negate) for a in args])
-        if op == "xor":
-            a, b = args
+            work.append((_BUILD, kind, len(args), gate))
+            work += [(_EXPAND, a, neg ^ negate) for a, neg in reversed(args)]
+        elif op == "xor":
+            (a, neg_a), (b, neg_b) = args
             if negate:  # both equal
                 arms = [(False, False), (True, True)]
             else:  # exactly one true
                 arms = [(False, True), (True, False)]
-            return build(OR, [build(AND, [self.expand(a, na), self.expand(b, nb)])
-                              for na, nb in arms])
-        if op == "ite":
-            c, t, e = args
-            return build(OR, [
-                build(AND, [self.expand(c, False), self.expand(t, negate)]),
-                build(AND, [self.expand(c, True), self.expand(e, negate)]),
-            ])
-        # gate quantifier: hoist to the prefix, renaming apart per occurrence
-        quantifier, bound, inner = op
-        if negate:
-            quantifier = quantifier.complement
-        saved = {b: self.bound.get(b) for b in bound}
-        ids = []
-        for b in bound:
-            v = self._new_var(b)
-            self.bound[b] = v
-            ids.append(v)
-        self.hoisted.append(Scope(quantifier, tuple(ids)))
-        try:
-            return self.expand(inner, negate)
-        finally:
-            for b, old in saved.items():
-                if old is None:
-                    del self.bound[b]
-                else:
-                    self.bound[b] = old
+            work.append((_BUILD, OR, 2, gate))
+            for na, nb in reversed(arms):
+                work += [(_BUILD, AND, 2, None), (_EXPAND, b, neg_b ^ nb),
+                         (_EXPAND, a, neg_a ^ na)]
+        elif op == "ite":
+            (c, neg_c), (t, neg_t), (e, neg_e) = args
+            work += [(_BUILD, OR, 2, gate),
+                     (_BUILD, AND, 2, None), (_EXPAND, e, neg_e ^ negate),
+                     (_EXPAND, c, not neg_c),
+                     (_BUILD, AND, 2, None), (_EXPAND, t, neg_t ^ negate),
+                     (_EXPAND, c, neg_c)]
+        else:
+            # gate quantifier: hoist to the prefix, renaming apart per
+            # occurrence
+            quantifier, names, (inner, neg) = op
+            if negate:
+                quantifier = quantifier.complement
+            work.append((_UNBIND, {b: self.bound.get(b) for b in names}, gate))
+            ids = []
+            for b in names:
+                v = self._new_var(b)
+                self.bound[b] = v
+                ids.append(v)
+            self.hoisted.append(Scope(quantifier, tuple(ids)))
+            work.append((_EXPAND, inner, neg ^ negate))
+        return None
 
     def problem(self) -> QbfProblem:
         self.read_lines()
-        matrix = self.expand(self.output_token, False)
+        matrix = self.expand(*self.output)
         scopes: list[Scope] = []
         if self.free_ids:
             scopes.append(Scope(Quantifier.EXISTS, tuple(self.free_ids)))

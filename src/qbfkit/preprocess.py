@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .formula import (AND, FALSE, LIT, OR, TRUE, Arena, QbfProblem, Quantifier,
-                      Scope, merge_adjacent, postorder, subformulas)
+                      Scope, class_postorder, merge_adjacent)
 
 
 @dataclass
@@ -36,18 +36,15 @@ def _rebuild(dst: Arena, src: Arena, node: int, subst: dict[int, bool],
              memo: dict[int, int]) -> int:
     """Copy a subformula applying a substitution; fold constants and clashes.
 
-    `memo` maps each source node copied to its copy in `dst`. Copies are
-    memoized per structural class, on both sides: a shared node, every
-    structurally equal copy of it, and every copy that the substitution made
-    equal to it become one node of `dst`. The copy of `node` is returned.
+    `memo` maps the class id (`src.canon`) of each source node copied to
+    its copy in `dst`, so a shared node and every structurally equal copy
+    of it are copied once. Copies that the substitution makes equal are
+    merged too: every class of `dst` keeps its first copy. The copy of
+    `node` is returned.
     """
     kinds, payload, canon = src.kinds, src.payload, src.canon
-    first: dict[int, int] = {}  # source class id -> its copy
     kept: dict[int, int] = {}  # dst class id -> first copy of that class
-    for n in postorder(src, node, memo):
-        if canon[n] in first:
-            memo[n] = first[canon[n]]
-            continue
+    for n in class_postorder(src, node, memo):
         kind = kinds[n]
         if kind == LIT:
             lit = payload[n]
@@ -59,15 +56,15 @@ def _rebuild(dst: Arena, src: Arena, node: int, subst: dict[int, bool],
         elif kind in (TRUE, FALSE):
             out = dst.const(kind == TRUE)
         else:
-            out = dst.build(kind, [memo[c] for c in payload[n]])
+            out = dst.build(kind, [memo[canon[c]] for c in payload[n]])
             out_kind = dst.kinds[out]
             if out_kind in (AND, OR):
                 lits = {dst.payload[c] for c in dst.payload[out]
                         if dst.kinds[c] == LIT}
                 if any(-l in lits for l in lits):
                     out = dst.const(out_kind == OR)
-        memo[n] = first[canon[n]] = kept.setdefault(dst.canon[out], out)
-    return memo[node]
+        memo[canon[n]] = kept.setdefault(dst.canon[out], out)
+    return memo[canon[node]]
 
 
 def _forced_literals(arena: Arena, matrix: int) -> list[int]:
@@ -84,7 +81,7 @@ def _forced_literals(arena: Arena, matrix: int) -> list[int]:
 def _polarities(arena: Arena, matrix: int) -> tuple[set[int], set[int]]:
     pos: set[int] = set()
     neg: set[int] = set()
-    for n in subformulas(arena, matrix):
+    for n in class_postorder(arena, matrix):
         if arena.kinds[n] == LIT:
             lit = arena.payload[n]
             (pos if lit > 0 else neg).add(abs(lit))
@@ -100,13 +97,14 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
     info = PreprocessInfo()
     quantifier = {v: problem.quantifier_of(v) for v in problem.all_vars()}
     src, matrix = problem.arena, problem.matrix
-    rounds: list[dict[int, int]] = []  # per round: source node -> its copy
+    # per round: the source's class ids, and source class id -> its copy
+    rounds: list[tuple[list[int], dict[int, int]]] = []
     subst: dict[int, bool] = {}
     while True:
         info.rounds += 1
         dst = Arena()
-        rounds.append({})
-        matrix = _rebuild(dst, src, matrix, subst, rounds[-1])
+        rounds.append((src.canon, {}))
+        matrix = _rebuild(dst, src, matrix, subst, rounds[-1][1])
         src = dst
         if src.kinds[matrix] in (TRUE, FALSE):
             break
@@ -145,14 +143,16 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
 
 
 def _carry_gates(node_gate: dict[int, int],
-                 rounds: list[dict[int, int]]) -> dict[int, int]:
-    """Gate provenance of the rebuilt nodes. Several gates can map to one
-    node (a gate that folds into another, or merged copies); the first one
+                 rounds: list[tuple[list[int], dict[int, int]]]
+                 ) -> dict[int, int]:
+    """Gate provenance of the rebuilt nodes: each round maps a node through
+    its class to the copy of that class. Several gates can map to one node
+    (a gate that folds into another, or merged copies); the first one
     wins."""
     out: dict[int, int] = {}
     for node, gate in node_gate.items():
-        for copies in rounds:
-            node = copies.get(node)
+        for canon, copies in rounds:
+            node = copies.get(canon[node])
             if node is None:
                 break
         else:

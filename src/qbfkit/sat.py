@@ -22,7 +22,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .formula import AND, FALSE, LIT, TRUE, Arena, postorder
+from .formula import AND, FALSE, LIT, TRUE, Arena, class_postorder
 
 _UNDEF = -1
 CHRONO_THRESHOLD = 100  # longest backjump taken non-chronologically, in levels
@@ -432,16 +432,13 @@ def encode_nnf(solver: Solver, arena: Arena, node: int,
     """Encode an NNF subformula one-sidedly; the returned literal implies it.
 
     `var_map` maps formula variables to solver variables and is extended on
-    demand; entries may also be preset to arbitrary solver literals. The
-    literal is memoized per structural class (`arena.canon`), so a node gets
-    one gate however many parents it has, and structurally equal nodes share
-    it.
+    demand. The walk and its memo are keyed by structural class
+    (`arena.canon`), so a node gets one gate however many parents it has,
+    and structurally equal nodes share it.
     """
     kinds, payload, canon = arena.kinds, arena.payload, arena.canon
     gate_of: dict[int, int] = {}  # class id -> literal
-    for n in postorder(arena, node):
-        if canon[n] in gate_of:
-            continue
+    for n in class_postorder(arena, node):
         kind = kinds[n]
         if kind == LIT:
             lit = -payload[n] if negate else payload[n]

@@ -557,3 +557,24 @@ def test_deep_matrix_writes_as_qcir():
     assert text.splitlines()[3] == "output(_g1)"
     assert gate_lines[-1].startswith("_g1 = and(")
 
+
+def test_verify_encodes_the_matrix_once_per_class(monkeypatch):
+    # the tree text of qparity(32) parses to 4,097 nodes but only 253
+    # structural classes; the miter replays the certificate and encodes
+    # each class of the matrix once
+    problem = parse_qcir(write_qcir(gen_qparity(32)))
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    circuit = build_certificate(problem, reduced, info.eliminated, trace,
+                                value)
+    calls = 0
+    and_ = Circuit.and_
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return and_(self, a, b)
+
+    monkeypatch.setattr(Circuit, "and_", counted)
+    assert verify(problem, circuit).valid
+    assert calls <= 1000

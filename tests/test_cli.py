@@ -311,3 +311,19 @@ def test_internal_errors_exit_three(example_path, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", example_path, "--no-preprocess")
     assert code == 3
     assert "internal error" in err
+
+
+@pytest.mark.parametrize("error, message", [
+    (RecursionError, "input nested too deeply"),
+    (MemoryError, "out of memory"),
+])
+def test_resource_errors_exit_four(example_path, capsys, monkeypatch, error,
+                                   message):
+    def boom(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "preprocess", boom)
+    code, _, err = run(capsys, "solve", example_path)
+    assert code == cli.EXIT_RESOURCE
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import sys
 import time
 
 from qbfkit.aiger import negate, read_aiger, write_aiger
 from qbfkit.certify import build_certificate, read_trace, verify
-from qbfkit.formula import (AND, OR, Arena, QbfProblem, problems_equal,
-                            subformulas)
+from qbfkit.formula import (AND, LIT, OR, Arena, QbfProblem, class_postorder,
+                            postorder, problems_equal, subformulas)
 from qbfkit.parsing import parse_qcir, write_qcir
 from qbfkit.preprocess import PreprocessInfo, preprocess
 from qbfkit.solver import solve_abstraction, solve_assignment
@@ -365,14 +366,43 @@ def test_certify_trace_names_gates_of_the_reduced_arena(tmp_path, capsys):
     assert read_trace(text).pairs
 
 
+def test_merged_gates_name_the_node_of_their_class():
+    # g1's own node is flattened into g2's conjunction, and h is a separate
+    # copy of the same subformula; preprocessing keeps one node for the
+    # class, named after the first gate of it, g1 (gate 1), not h (gate 3)
+    problem = parse_qcir("#QCIR-G14\nexists(a, b)\nforall(c, d)\noutput(m)\n"
+                         "g1 = and(a, b)\ng2 = and(g1, c)\nh = and(a, b)\n"
+                         "g3 = or(d, h)\nk = or(-a, -b, -c, -d)\n"
+                         "o = or(g2, g3)\nm = and(o, k)\n")
+    reduced, info = preprocess(problem)
+    assert not info.eliminated
+    arena = reduced.arena
+    ab, = (n for n in reduced.node_gate if arena.kinds[n] == AND
+           and [arena.kinds[c] for c in arena.payload[n]] == [LIT, LIT])
+    assert reduced.node_gate[ab] == 1
+    assert 3 not in reduced.node_gate.values()
+
+
 def test_deep_gate_chain_exits_cleanly(tmp_path, capsys):
-    source = tmp_path / "deep.qcir"
-    source.write_text(xor_chain(3000))
-    code = cli.main(["solve", str(source)])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_RESOURCE
-    assert "error:" in err
-    assert "Traceback" not in err
+    # 3,000 levels of gates, each reading the one before: the reader
+    # expands gates over an explicit stack, so the chain parses at the
+    # default recursion limit and certifies with or without preprocessing
+    n = 3000
+    assert sys.getrecursionlimit() < n
+    lines = ["#QCIR-G14", "exists(x1)", "forall(x2)", f"output(g{n})",
+             "g1 = or(x1, -x2)"]
+    for i in range(2, n + 1):
+        lines.append(f"g{i} = and(g{i - 1}, x1)" if i % 2 == 0
+                     else f"g{i} = or(g{i - 1}, -x2)")
+    source, cert = tmp_path / "deep.qcir", tmp_path / "deep.aag"
+    source.write_text("\n".join(lines) + "\n")
+    for extra in ([], ["--no-preprocess"]):
+        code = cli.main(["certify", str(source), "-o", str(cert), *extra])
+        assert code == cli.EXIT_TRUE
+        assert cli.main(["verify", str(source), str(cert)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "r TRUE\nValid\n"
+        assert captured.err == ""
 
 
 def random_dag_problem(rng):
@@ -386,6 +416,54 @@ def random_dag_problem(rng):
         kids = rng.sample(pool, min(len(pool), rng.randint(2, 3)))
         pool.append(arena.build(rng.choice((AND, OR)), kids))
     return QbfProblem.make(arena, random_prefix(rng, nvars), pool[-1])
+
+
+def rebuilt(arena, node):
+    """A structurally equal copy of `node`, made by fresh `lit` and `build`
+    calls."""
+    copy = {}
+    for n in postorder(arena, node):
+        if arena.kinds[n] == LIT:
+            copy[n] = arena.lit(arena.payload[n])
+        else:
+            copy[n] = arena.build(arena.kinds[n],
+                                  [copy[c] for c in arena.payload[n]])
+    return copy[node]
+
+
+def first_of_each_class(arena, nodes):
+    first = {}
+    for n in nodes:
+        first.setdefault(arena.canon[n], n)
+    return list(first.values())
+
+
+def test_class_postorder_is_postorder_filtered_to_first_of_each_class():
+    # on DAGs with copies, and on their tree text, where every gate use is a
+    # copy: skipping nodes of listed classes loses nothing and reorders
+    # nothing, also when a memo of classes (`done`) is passed in
+    rng = random.Random(1313)
+    copies = 0
+    for _ in range(200):
+        dag = random_dag_problem(rng)
+        arena = dag.arena
+        inner = rng.choice(subformulas(arena, dag.matrix))
+        mixed = arena.build(rng.choice((AND, OR)),
+                            [rebuilt(arena, inner), dag.matrix])
+        tree = parse_qcir(write_qcir(dag))
+        for arena, root in ((arena, mixed), (tree.arena, tree.matrix)):
+            nodes = postorder(arena, root)
+            classes = first_of_each_class(arena, nodes)
+            copies += len(classes) < len(nodes)
+            assert class_postorder(arena, root) == classes
+            canon = arena.canon
+            for k in (1, rng.randint(0, len(classes))):
+                done = {canon[n] for n in rng.sample(classes, k)}
+                done_nodes = {n for n in range(len(arena)) if canon[n] in done}
+                assert class_postorder(arena, root, done) == \
+                    first_of_each_class(arena,
+                                        postorder(arena, root, done_nodes))
+    assert copies > 300
 
 
 def test_structurally_equal_copies_are_merged_and_stay_sound():
