@@ -16,7 +16,7 @@ from .parsing import (ParseError, detect_format, load_problem, parse_problem,
                       parse_qcir, parse_qdimacs, write_qcir, write_qdimacs)
 from .preprocess import PreprocessInfo, preprocess
 from .solver import (ProofPair, ProofTrace, SolveConfig, SolveStats,
-                     solve_abstraction, solve_assignment)
+                     solve, solve_abstraction, solve_assignment)
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,7 @@ __all__ = [
     "read_aiger",
     "read_trace",
     "run_experiment",
+    "solve",
     "solve_abstraction",
     "solve_assignment",
     "verify",

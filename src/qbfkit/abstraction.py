@@ -34,8 +34,8 @@ and equal `min_scope` and `max_scope`, so they too would get identical
 constraints.
 Children are created before their parents, so ascending node ids are a
 topological order: `compute_influence` relies on it to see every child
-before its parent, and `maximize_claims` to raise child claims before the
-claims of their parents.
+before its parent, and `maximize_claims` to settle child claims in the one
+pass before the claims of their parents.
 
 The encoding walks the matrix with the block's polarity applied on the fly,
 so node ids are stable across blocks and polarities. One rule places every
@@ -403,9 +403,13 @@ class ScopeAbstraction:
     def maximize_claims(self, model: list[int]) -> list[int]:
         """Raise claim variables as far as the claim side's clauses allow.
 
-        Works on a copy of a satisfying assignment; child claims are visited
-        first (arena ids order children before parents), and sweeps repeat to
-        a fixpoint. The result is re-checked to still satisfy every clause.
+        Works on a copy of a satisfying assignment, in one pass by ascending
+        node id. One pass is enough: a claim occurs negated only in its own
+        constraint clauses and in the root clause, whose other claim
+        literals are claims of lower node ids (children come first), and
+        refinement clauses hold only positive claims. So whether a claim can
+        rise depends only on the claims visited before it. The result is
+        re-checked to still satisfy every clause.
         """
         model = list(model)
         if self._neg_claim_occ is None:
@@ -417,20 +421,13 @@ class ScopeAbstraction:
             self._neg_claim_occ = occ
 
         def satisfied(lit: int) -> bool:
-            val = model[abs(lit)]
-            return val == 1 if lit > 0 else val == 0
+            return model[abs(lit)] == (lit > 0)
 
-        ordered = sorted(self.claim.items())
-        changed = True
-        while changed:
-            changed = False
-            for node, sv in ordered:
-                if model[sv] == 1:
-                    continue
-                if all(any(satisfied(l) for l in cl if l != -sv)
-                       for cl in self._neg_claim_occ[sv]):
-                    model[sv] = 1
-                    changed = True
+        for _, sv in sorted(self.claim.items()):
+            if model[sv] == 0 and all(
+                    any(satisfied(l) for l in cl if l != -sv)
+                    for cl in self._neg_claim_occ[sv]):
+                model[sv] = 1
         for clause in self.theta.db:
             if not any(satisfied(l) for l in clause):
                 raise InternalError("claim maximization broke a clause")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .formula import (AND, OR, Arena, QbfProblem, Quantifier, Scope,
                       merge_adjacent, subformulas)
-from .solver import SolveConfig, solve_abstraction, solve_assignment
+from .solver import solve
 
 
 def gen_qparity(n: int, chain: bool = False) -> QbfProblem:
@@ -39,20 +39,29 @@ def gen_qparity(n: int, chain: bool = False) -> QbfProblem:
         raise ValueError("n must be positive")
     arena = Arena()
 
-    def parity(lo: int, hi: int) -> tuple[int, int]:
-        """Nodes for odd and even parity of the variables lo..hi."""
-        if lo == hi:
-            return arena.lit(lo), arena.lit(-lo)
-        mid = lo if chain else (lo + hi) // 2
-        lodd, leven = parity(lo, mid)
-        rodd, reven = parity(mid + 1, hi)
+    def combine(left, right) -> tuple[int, int]:
+        """Odd and even parity nodes of two parts' concatenation."""
+        (lodd, leven), (rodd, reven) = left, right
         odd = arena.build(OR, [arena.build(AND, [lodd, reven]),
                                arena.build(AND, [leven, rodd])])
         even = arena.build(OR, [arena.build(AND, [lodd, rodd]),
                                 arena.build(AND, [leven, reven])])
         return odd, even
 
-    odd, even = parity(1, n)
+    def parity(lo: int, hi: int) -> tuple[int, int]:
+        """Odd and even parity nodes of the variables lo..hi, balanced."""
+        if lo == hi:
+            return arena.lit(lo), arena.lit(-lo)
+        mid = (lo + hi) // 2
+        return combine(parity(lo, mid), parity(mid + 1, hi))
+
+    if not chain:
+        odd, even = parity(1, n)
+    else:  # every leaf, then the combines from the innermost outward
+        leaves = [(arena.lit(v), arena.lit(-v)) for v in range(1, n + 1)]
+        odd, even = leaves.pop()
+        for leaf in reversed(leaves):
+            odd, even = combine(leaf, (odd, even))
     z = n + 1
     matrix = arena.build(AND, [arena.build(OR, [arena.lit(z), odd]),
                                arena.build(OR, [arena.lit(-z), even])])
@@ -165,15 +174,6 @@ def stats_csv(rows) -> str:
 
 def run_experiment(instances, algorithms=("abstraction", "assignment")) -> str:
     """Solve each (family, n, problem) with each algorithm; report CSV."""
-    config = SolveConfig(record_trace=False)
-    rows = []
-    for family, n, problem in instances:
-        for algorithm in algorithms:
-            if algorithm == "abstraction":
-                value, _, stats = solve_abstraction(problem, config)
-            elif algorithm == "assignment":
-                value, stats = solve_assignment(problem)
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
-            rows.append((family, n, algorithm, value, stats))
+    rows = [(family, n, algorithm, *solve(problem, algorithm))
+            for family, n, problem in instances for algorithm in algorithms]
     return stats_csv(rows)

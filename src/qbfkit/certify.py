@@ -70,7 +70,8 @@ def _condition(circuit: Circuit, problem: QbfProblem, influence: InfluenceMap,
     pieces are joined by the node's connective, dualized at a universal
     block.
     """
-    if not influence.straddles(node, scope_index - 1):
+    if (node not in influence.min_scope
+            or not influence.straddles(node, scope_index - 1)):
         raise InternalError(
             f"node {node} is not on the incoming interface of block "
             f"{scope_index}")

@@ -21,7 +21,7 @@ from .certify import build_certificate, verify, write_trace
 from .formula import InternalError
 from .parsing import ParseError, load_problem, write_qcir, write_qdimacs
 from .preprocess import PreprocessInfo, preprocess
-from .solver import SolveConfig, solve_abstraction, solve_assignment
+from .solver import solve, solve_abstraction
 
 EXIT_TRUE = 10
 EXIT_FALSE = 20
@@ -60,11 +60,7 @@ def _report(value: bool) -> int:
 def cmd_solve(args) -> int:
     problem = load_problem(args.file)
     reduced, _ = _reduce(problem, args)
-    if args.algorithm == "abstraction":
-        value, _, stats = solve_abstraction(reduced,
-                                            SolveConfig(record_trace=False))
-    else:
-        value, stats = solve_assignment(reduced)
+    value, stats = solve(reduced, args.algorithm)
     log.info("solved %s in %.3fs after %d solver queries",
              args.file, stats.wall_time, stats.total_iterations)
     if args.stats:

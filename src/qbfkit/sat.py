@@ -4,7 +4,9 @@ Clause learning is first-UIP with two-watched-literal propagation; assumptions
 are fed as leading decisions and cores are extracted from the implication
 graph, Minisat style. Decisions follow variable activity with a deterministic
 index tie-break and a default false phase, so identical clause and assumption
-sequences reproduce identical models.
+sequences reproduce identical models. The decision heap lives as long as the
+solver: each unassigned variable has an entry with its current activity, and
+an outdated entry ranks after it, so it pops once the variable is assigned.
 
 A backjump that would undo more than `CHRONO_THRESHOLD` levels backtracks
 chronologically instead, to one level below the conflict, and the asserting
@@ -84,6 +86,7 @@ class Solver:
         self.seen.append(False)
         self.watches.append([])
         self.watches.append([])
+        heapq.heappush(self.order, (0.0, self.nvars))
         return self.nvars
 
     def true_lit(self) -> int:
@@ -234,14 +237,10 @@ class Solver:
             for i in range(1, self.nvars + 1):
                 self.activity[i] *= inv
             self.var_inc *= inv
-            self._rebuild_order()
-        elif self.assign[v] == _UNDEF:
-            heapq.heappush(self.order, (-self.activity[v], v))
-
-    def _rebuild_order(self) -> None:
-        self.order = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
-                      if self.assign[v] == _UNDEF]
-        heapq.heapify(self.order)
+            self.order = [(-self.activity[i], i)
+                          for i in range(1, self.nvars + 1)
+                          if self.assign[i] == _UNDEF]
+            heapq.heapify(self.order)
 
     def _watch_highest(self, c: list[int]) -> tuple[int, int]:
         """Move the two highest-level literals of `c` to its watched front,
@@ -359,7 +358,6 @@ class Solver:
             self.ok = False
             return SolveResult(False, failed=())
 
-        self._rebuild_order()
         restart_budget = 100
         conflicts_here = 0
         try:

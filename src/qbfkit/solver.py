@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from .abstraction import ScopeAbstraction, compute_influence
-from .formula import InternalError, QbfProblem, Quantifier
+from .formula import InternalError, QbfProblem, Quantifier, node_vars
 from .sat import Solver, encode_nnf
 
 
@@ -60,9 +60,6 @@ class ProofTrace:
             groups.setdefault(pair.scope, []).append(pair)
         return groups
 
-    def for_scope(self, scope: int) -> list[ProofPair]:
-        return self.by_scope().get(scope, [])
-
 
 @dataclass
 class SolveConfig:
@@ -86,7 +83,7 @@ def _constant_result(problem: QbfProblem, t0: float):
         return None
     stats = SolveStats([0] * problem.scope_count, [0] * problem.scope_count,
                        time.perf_counter() - t0)
-    return const, ProofTrace(), stats
+    return const, stats
 
 
 def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
@@ -100,20 +97,13 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     t0 = time.perf_counter()
     constant = _constant_result(problem, t0)
     if constant is not None:
-        return constant
+        return constant[0], ProofTrace(), constant[1]
     trace = ProofTrace()
     nblocks = problem.scope_count
     stats = SolveStats([0] * nblocks, [0] * nblocks)
     influence = compute_influence(problem)
     innermost_used = influence.max_scope[problem.matrix]
     blocks: dict[int, ScopeAbstraction] = {}
-
-    def block_for(k: int) -> ScopeAbstraction:
-        block = blocks.get(k)
-        if block is None:
-            block = ScopeAbstraction.build(problem, k, influence)
-            blocks[k] = block
-        return block
 
     def confirm_win(block: ScopeAbstraction, k: int, x_values: dict,
                     granted: dict) -> dict:
@@ -137,7 +127,9 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     waiting: list[tuple[int, dict, dict, dict]] = []
     k, granted = 1, {}
     while True:
-        block = block_for(k)
+        block = blocks.get(k)
+        if block is None:
+            block = blocks[k] = ScopeAbstraction.build(problem, k, influence)
         exists_here = block.quantifier is Quantifier.EXISTS
         stats.sat_queries[k - 1] += 1
         result = block.theta.solve(block.theta_assumptions(granted))
@@ -166,10 +158,9 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
                 outcome = exists_here, confirm_win(block, k, x_values, granted)
                 continue
             relied = sorted(n for n, v in inner_witness.items() if v)
-            for n in relied:
-                if claims[n]:
-                    raise InternalError(
-                        f"refinement at block {k} would not make progress")
+            if any(claims[n] for n in relied):
+                raise InternalError(
+                    f"refinement at block {k} would not make progress")
             block.refine(relied)
             break
         else:
@@ -190,16 +181,18 @@ def solve_assignment(problem: QbfProblem):
     t0 = time.perf_counter()
     constant = _constant_result(problem, t0)
     if constant is not None:
-        value, _, stats = constant
-        return value, stats
+        return constant
     nblocks = problem.scope_count
     stats = SolveStats([0] * nblocks, [0] * nblocks)
     arena = problem.arena
 
-    # every solver numbers the prefix variables 1..N alike, so outer
-    # assignments can be assumed directly; each block encodes what its owner
-    # must achieve, and the challenger what the innermost block's opponent must
-    var_of = [0, *problem.all_vars()]
+    # every solver numbers the variables the matrix reads alike, in prefix
+    # order, so outer assignments can be assumed directly; an unread variable
+    # is in no clause, so it gets no number and no value. Each block encodes
+    # what its owner must achieve, the challenger what the innermost block's
+    # opponent must
+    read = node_vars(arena, problem.matrix)
+    var_of = [0, *(v for v in problem.all_vars() if v in read)]
     var_map = {v: sv for sv, v in enumerate(var_of) if sv}
 
     def new_solver(negate: bool) -> Solver:
@@ -235,7 +228,8 @@ def solve_assignment(problem: QbfProblem):
         else:
             beta = dict(alpha)
             for v in scope.vars:
-                beta[v] = bool(result.model[var_map[v]])
+                if v in var_map:
+                    beta[v] = bool(result.model[var_map[v]])
             if k < nblocks:
                 waiting.append((k, alpha))
                 k, alpha = k + 1, beta
@@ -267,3 +261,15 @@ def solve_assignment(problem: QbfProblem):
     value = outcome[0]
     stats.wall_time = time.perf_counter() - t0
     return value, stats
+
+
+def solve(problem: QbfProblem, algorithm: str = "abstraction"):
+    """Decide ``problem`` by ``"abstraction"`` or ``"assignment"``, without
+    a proof trace; return ``(value, stats)``. Other names are a ValueError."""
+    if algorithm == "abstraction":
+        value, _, stats = solve_abstraction(problem,
+                                            SolveConfig(record_trace=False))
+        return value, stats
+    if algorithm == "assignment":
+        return solve_assignment(problem)
+    raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -359,3 +359,22 @@ def test_block_numbering_golden():
         "d9318811fceda9afc0a46bfad76c2134ef6a1b1cb33b56df6c97e9b4aff9e1a0")
     assert numbering_digest(randoms) == (
         "e8b9c34ef5c85df37822741f790d61a07e25551e0b7d876e00f2e2b1580690de")
+
+
+def test_claim_maximization_is_done_in_one_pass():
+    # a second pass over the maximized model raises nothing more
+    rng = random.Random(23)
+    checked = 0
+    while checked < 60:
+        problem = random_problem(rng, max_vars=8, max_budget=30, impure=True)
+        if problem.matrix_constant() is not None:
+            continue
+        influence = compute_influence(problem)
+        for k in range(1, influence.max_scope[problem.matrix] + 1):
+            block = ScopeAbstraction.build(problem, k, influence)
+            granted = {n: rng.random() < 0.5 for n in block.incoming}
+            result = block.theta.solve(block.theta_assumptions(granted))
+            if result.sat:
+                once = block.maximize_claims(result.model)
+                assert block.maximize_claims(once) == once
+        checked += 1

@@ -2,13 +2,15 @@
 
 import csv
 import io
+import random
+import sys
 
 import pytest
 
 from qbfkit.bench import (CSV_HEADER, GenSpec, gen_expansion_hard,
                           gen_qparity, gen_random, run_experiment)
 from qbfkit.certify import extract_functions, verify
-from qbfkit.formula import problems_equal, subformulas
+from qbfkit.formula import evaluate, problems_equal, subformulas
 from qbfkit.parsing import parse_qcir
 from qbfkit.solver import solve_abstraction, solve_assignment
 
@@ -146,3 +148,17 @@ def test_generators_reject_nonpositive_sizes():
         gen_qparity(0)
     with pytest.raises(ValueError):
         gen_expansion_hard(0)
+
+
+def test_chained_qparity_builds_past_the_recursion_limit():
+    n = 3000
+    assert sys.getrecursionlimit() < n
+    problem = gen_qparity(n, chain=True)
+    z = n + 1
+    rng = random.Random(3000)
+    for _ in range(20):
+        values = {v: rng.randint(0, 1) for v in range(1, z + 1)}
+        parity = sum(values[v] for v in range(1, z)) % 2
+        # the universal player wins exactly by playing z = parity(X)
+        assert evaluate(problem.arena, problem.matrix, values) == \
+            int(values[z] != parity)

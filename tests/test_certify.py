@@ -578,3 +578,29 @@ def test_verify_encodes_the_matrix_once_per_class(monkeypatch):
     monkeypatch.setattr(Circuit, "and_", counted)
     assert verify(problem, circuit).valid
     assert calls <= 1000
+
+
+def test_extraction_rejects_a_trace_naming_an_unknown_node():
+    problem = parse_qcir(PARITY2_QCIR)
+    value, _, _ = solve_abstraction(problem)
+    with pytest.raises(InternalError, match="incoming interface"):
+        extract_functions(problem, read_trace("p 2 t 999 x\n"), value)
+
+
+@pytest.mark.parametrize("matrix", [True, False])
+@pytest.mark.parametrize("claimed", [True, False])
+def test_verify_on_a_constant_matrix(matrix, claimed):
+    arena = Arena()
+    problem = QbfProblem.make(arena, [Scope(Quantifier.FORALL, (1,)),
+                                      Scope(Quantifier.EXISTS, (2,))],
+                              arena.const(matrix), {1: "x", 2: "y"})
+    # with no proof pairs every strategy output is constant False
+    circuit = extract_functions(problem, ProofTrace(), claimed)
+    assert circuit.kind == ("skolem" if claimed else "herbrand")
+    result = verify(problem, circuit)
+    if claimed is matrix:
+        assert result.status == "valid"
+    else:
+        assert result.status == "invalid"
+        assert result.counterexample == ({"y": False} if matrix
+                                         else {"x": False})

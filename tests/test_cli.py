@@ -307,7 +307,7 @@ def test_internal_errors_exit_three(example_path, capsys, monkeypatch):
     def boom(*_args, **_kwargs):
         raise InternalError("invariant violated")
 
-    monkeypatch.setattr(cli, "solve_abstraction", boom)
+    monkeypatch.setattr("qbfkit.solver.solve_abstraction", boom)
     code, _, err = run(capsys, "solve", example_path, "--no-preprocess")
     assert code == 3
     assert "internal error" in err

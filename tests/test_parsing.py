@@ -339,3 +339,31 @@ def test_load_problem(tmp_path):
     path.write_text(GOLDEN_QCIR)
     p = load_problem(str(path))
     assert p.scope_count == 2
+
+
+@pytest.mark.parametrize("uses, prenexed_uses", [
+    ("x, k", "x, m"), ("k, x", "m, x")])
+def test_nested_gate_quantifiers_rebinding_one_name(uses, prenexed_uses):
+    # k rebinds the x that g bound; leaving k restores g's x, which the
+    # second order reads afterwards
+    text = ("forall(a)\noutput(g)\ng = exists(x; h)\n"
+            f"h = and({uses})\nk = forall(x; m)\nm = or(x, -x, a)\n")
+    p = parse_qcir(text)
+    prenexed = parse_qcir(
+        "forall(a)\nexists(x)\nforall(x_1)\noutput(g)\n"
+        f"m = or(x_1, -x_1, a)\ng = and({prenexed_uses})\n")
+    assert problems_equal(p, prenexed)
+    assert brute_force(p) is brute_force(prenexed) is True
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_qdimacs_round_trips_constant_matrices(value):
+    arena = Arena()
+    p = QbfProblem.make(arena, [Scope(Quantifier.FORALL, (1,)),
+                                Scope(Quantifier.EXISTS, (2,))],
+                        arena.const(value))
+    text = write_qdimacs(p)
+    back = parse_qdimacs(text)
+    assert back.matrix_constant() is value
+    assert problems_equal(p, back)
+    assert write_qdimacs(back) == text

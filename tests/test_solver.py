@@ -15,7 +15,7 @@ from qbfkit.formula import (OR, Arena, InternalError, QbfProblem, Quantifier,
 from qbfkit.parsing import parse_qcir, parse_qdimacs
 from qbfkit.preprocess import preprocess
 from qbfkit.sat import Solver
-from qbfkit.solver import (ProofPair, SolveConfig, solve_abstraction,
+from qbfkit.solver import (ProofPair, SolveConfig, solve, solve_abstraction,
                            solve_assignment)
 
 from helpers import brute_force, random_problem
@@ -149,8 +149,8 @@ def test_runs_are_deterministic():
 def test_trace_for_scope_filters_pairs():
     problem = parse_qcir(PARITY2_QCIR)
     _, trace, _ = solve_abstraction(problem)
-    assert trace.for_scope(1) == []
-    assert len(trace.for_scope(2)) == 2
+    assert 1 not in trace.by_scope()
+    assert len(trace.by_scope()[2]) == 2
 
 
 def end_to_end_digest(problems):
@@ -235,3 +235,39 @@ def test_deep_prefix_solves_at_the_default_recursion_limit():
     value, _, stats = solve_abstraction(problem)
     assert value is True
     assert stats.sat_queries[-1] > 0
+
+
+def test_assignment_solvers_number_only_the_variables_the_matrix_reads(
+        monkeypatch):
+    # the prefix of the test above: each of the 1,101 solvers needs the two
+    # variables the matrix reads and one gate, not all 1,100 variables
+    n = 1100
+    arena = Arena()
+    prefix = [Scope(Quantifier.EXISTS if v % 2 else Quantifier.FORALL, (v,))
+              for v in range(1, n + 1)]
+    problem = QbfProblem.make(
+        arena, prefix, arena.build(OR, [arena.lit(n - 1), arena.lit(n)]))
+    calls = 0
+    fresh_var = Solver.fresh_var
+
+    def counted(solver):
+        nonlocal calls
+        calls += 1
+        return fresh_var(solver)
+
+    monkeypatch.setattr(Solver, "fresh_var", counted)
+    value, stats = solve_assignment(problem)
+    assert value is True
+    assert calls <= 10_000
+    assert (sum(stats.sat_queries), sum(stats.refinements)) == (1652, 550)
+
+
+def test_solve_dispatches_by_algorithm_name():
+    for seed in range(60):
+        problem = gen_random(GenSpec(seed=seed))
+        value, stats = solve(problem, "abstraction")
+        assert solve(problem, algorithm="assignment")[0] is value
+        assert solve(problem)[0] is value
+        assert len(stats.sat_queries) == problem.scope_count
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        solve(gen_random(GenSpec()), "qrs")
