@@ -18,7 +18,9 @@ that the round being built keeps node `n` alive; an outer variable
 (`outer_sat[n]`) states that the outer rounds already took care of the part
 of `n` they can see. Interface literals are the only channel between blocks:
 a block receives assumptions over the incoming interface and exposes claims
-over the outgoing one.
+over the outgoing one. An outer variable is allocated when a clause first
+names it, and a block variable only if the matrix reads it, so every SAT
+variable of a block occurs in some clause.
 
 Claim, outer and constraint variables name arena nodes, not occurrences of
 them. The matrix is a DAG, and a node reached from several parents (a QCIR
@@ -110,7 +112,7 @@ class InfluenceMap:
     wherever the running maximum over the root's literal children rises,
     and `inner_until` is the largest `min_scope` of a non-literal root child
     (0 if there is none): at every block before it, some root disjunct is
-    decided by inner blocks only.
+    decided by inner blocks only. `read` holds the variables the matrix reads.
     """
 
     min_scope: dict[int, int]
@@ -121,6 +123,7 @@ class InfluenceMap:
     root_slot: dict[int, int]
     root_literals: list[tuple[int, int]]
     inner_until: int
+    read: frozenset[int]
 
     def straddles(self, node: int, boundary: int) -> bool:
         return self.min_scope[node] <= boundary < self.max_scope[node]
@@ -159,8 +162,10 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
     maxs: dict[int, int] = {}
     at: dict[int, dict[int, list[int]]] = {}
     falls: dict[int, list[tuple[int, int]]] = {}
+    read: set[int] = set()
     for n in sorted(preorder):
         if kinds[n] == LIT:
+            read.add(abs(payload[n]))
             mins[n] = maxs[n] = problem.var_scope[abs(payload[n])]
             continue
         kids = payload[n]
@@ -191,7 +196,7 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
         elif not root_literals or maxs[c] > root_literals[-1][0]:
             root_literals.append((maxs[c], i))
     return InfluenceMap(mins, maxs, tuple(map(tuple, interface)), at, falls,
-                        root_slot, root_literals, inner_until)
+                        root_slot, root_literals, inner_until, frozenset(read))
 
 
 class ScopeAbstraction:
@@ -226,9 +231,8 @@ class ScopeAbstraction:
         self._neg_claim_occ: dict[int, list[tuple[int, ...]]] | None = None
 
         for v in problem.prefix[scope_index - 1].vars:
-            self.x_var[v] = self._fresh("var", v)
-        for n in self.incoming:
-            self.outer_sat[n] = self._fresh("outer", n)
+            if v in influence.read:
+                self.x_var[v] = self._fresh("var", v)
         for n in self.exposed:
             self._claim_var(n)
         negated = self.quantifier is Quantifier.FORALL
@@ -283,9 +287,11 @@ class ScopeAbstraction:
         def outer_ref(node: int) -> int:
             sv = self.outer_sat.get(node)
             if sv is None:
-                raise InternalError(
-                    f"node {node} folds outward at block {k} but is not on "
-                    "the incoming interface")
+                if not influence.straddles(node, k - 1):
+                    raise InternalError(
+                        f"node {node} folds outward at block {k} but is not "
+                        "on the incoming interface")
+                sv = self.outer_sat[node] = self._fresh("outer", node)
             return sv
 
         seen: set[tuple[int, ...]] = set()
@@ -368,18 +374,19 @@ class ScopeAbstraction:
     # assumptions and model views
 
     def theta_assumptions(self, granted: dict[int, bool]) -> list[int]:
-        """Assumption literals for the claim side: one per incoming node."""
+        """Claim-side assumptions in interface order, one per incoming node
+        a clause names: its outer variable is allocated at that first use."""
         if set(granted) != set(self.incoming):
             raise InternalError("incoming interface assignment is not total")
         return [self.outer_sat[n] if granted[n] else -self.outer_sat[n]
-                for n in self.incoming]
+                for n in self.incoming if n in self.outer_sat]
 
     def dual_assumptions(self, x_values: dict[int, bool],
                          granted: dict[int, bool]) -> list[int]:
         """Challenger assumptions: block variables plus complemented grants."""
         lits = [sv if x_values[v] else -sv for v, sv in self.x_var.items()]
         lits += [-self.outer_sat[n] if granted[n] else self.outer_sat[n]
-                 for n in self.incoming]
+                 for n in self.incoming if n in self.outer_sat]
         return lits
 
     def x_assignment(self, model: list[int]) -> dict[int, bool]:

@@ -35,6 +35,8 @@ class Circuit:
     # construction
 
     def add_input(self, name: str) -> int:
+        if self._gates:  # a gate's literal follows every input's
+            raise ValueError(f"input {name!r} added after the first gate")
         if name in self._input_lit:
             raise ValueError(f"duplicate input {name!r}")
         lit = 2 * (len(self.inputs) + 1)
@@ -150,6 +152,8 @@ def read_aiger(text: str) -> Circuit:
         maxvar, nin, nlatch, nout, nand = (int(tok) for tok in header[1:])
     except ValueError:
         raise ParseError(f"bad AIGER header: {lines[0]!r}") from None
+    if min(maxvar, nin, nlatch, nout, nand) < 0:
+        raise ParseError(f"negative AIGER header field: {lines[0]!r}")
     if nlatch != 0:
         raise ParseError("latches are not supported")
     if maxvar != nin + nand:
@@ -158,12 +162,12 @@ def read_aiger(text: str) -> Circuit:
     if len(body) < nin + nout + nand:
         raise ParseError("truncated AIGER file")
 
-    circuit = Circuit()
     for i in range(nin):
         lit = _aiger_int(body[i])
         if lit != 2 * (i + 1):
             raise ParseError(f"input {i} has unexpected literal {lit}")
     out_lits = [_aiger_int(body[nin + i]) for i in range(nout)]
+    gates: list[tuple[int, int]] = []
     defined = nin
     for i in range(nand):
         parts = body[nin + nout + i].split()
@@ -174,7 +178,7 @@ def read_aiger(text: str) -> Circuit:
             raise ParseError(f"and-gate defines unexpected literal {lhs}")
         if lhs % 2 or a // 2 > defined or b // 2 > defined:
             raise ParseError(f"and-gate {lhs} uses undefined operands")
-        circuit._gates.append((min(a, b), max(a, b)))
+        gates.append((min(a, b), max(a, b)))
         defined += 1
     for lit in out_lits:
         if lit // 2 > maxvar:
@@ -200,10 +204,12 @@ def read_aiger(text: str) -> Circuit:
             if index >= nout:
                 raise ParseError(f"symbol for unknown output: {line!r}")
             out_names[index] = name
+    circuit = Circuit()
     for name in in_names:
         if name in circuit._input_lit:
             raise ParseError(f"duplicate input name {name!r}")
         circuit.add_input(name)
+    circuit._gates = gates
     circuit.outputs = list(zip(out_names, out_lits))
     if comment_at is not None:
         comment = [ln for ln in rest[comment_at + 1:] if ln.strip()]

@@ -138,7 +138,6 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
     var_lit = {v: circuit.add_input(names[v]) for v in original.all_vars()
                if original.quantifier_of(v) is not func_q}
 
-    strategy: dict[int, int] = {}
     if reduced.matrix_constant() is None:
         influence = compute_influence(reduced)
         # Grant conditions at block k read only variables of blocks before k,
@@ -166,20 +165,16 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
                 fires.append((pair, circuit.and_(guard, aig_not(earlier))))
                 earlier = circuit.or_(earlier, guard)
             for v in scope.vars:
-                strategy[v] = circuit.or_many(
+                var_lit[v] = circuit.or_many(
                     fire for pair, fire in fires if v in pair.true_vars)
-                var_lit[v] = strategy[v]
 
+    # var_lit holds every move the trace decides; the rest are constants
     for v in original.all_vars():
-        if original.quantifier_of(v) is not func_q:
-            continue
-        if v in strategy:
-            lit = strategy[v]
-        elif v in eliminated:
-            lit = TRUE_LIT if eliminated[v] else FALSE_LIT
-        else:
-            lit = FALSE_LIT
-        circuit.add_output(names[v], lit)
+        if original.quantifier_of(v) is func_q:
+            lit = var_lit.get(v)
+            if lit is None:
+                lit = TRUE_LIT if eliminated.get(v) else FALSE_LIT
+            circuit.add_output(names[v], lit)
     return circuit
 
 
@@ -262,13 +257,15 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
     for name in circuit.inputs:
         lit_of[circuit.input_lit(name) // 2] = var_lit[var_of_name[name]] = \
             miter.add_input(name)
+    # free matrix variables are inputs too, and inputs precede every gate
+    for v in sorted(node_vars(problem.arena, problem.matrix) - var_lit.keys()
+                    - set(func_vars)):
+        var_lit[v] = miter.add_input(names[v])
     for lhs, a, b in circuit.gates:
         lit_of[lhs // 2] = miter.and_(lit_of[a // 2] ^ (a & 1),
                                       lit_of[b // 2] ^ (b & 1))
     for name, lit in circuit.outputs:
         var_lit[var_of_name[name]] = lit_of[lit // 2] ^ (lit & 1)
-    for v in sorted(node_vars(problem.arena, problem.matrix) - var_lit.keys()):
-        var_lit[v] = miter.add_input(names[v])
     matrix = _encode_formula(miter, problem.arena, problem.matrix, var_lit, {})
     goal = aig_not(matrix) if func_q is Quantifier.EXISTS else matrix
     if goal == FALSE_LIT:

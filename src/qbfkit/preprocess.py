@@ -96,16 +96,20 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
     """
     info = PreprocessInfo()
     quantifier = {v: problem.quantifier_of(v) for v in problem.all_vars()}
-    src, matrix = problem.arena, problem.matrix
-    # per round: the source's class ids, and source class id -> its copy
-    rounds: list[tuple[list[int], dict[int, int]]] = []
+    src, matrix, node_gate = problem.arena, problem.matrix, problem.node_gate
     subst: dict[int, bool] = {}
     while True:
         info.rounds += 1
-        dst = Arena()
-        rounds.append((src.canon, {}))
-        matrix = _rebuild(dst, src, matrix, subst, rounds[-1][1])
-        src = dst
+        dst, copies = Arena(), {}
+        matrix = _rebuild(dst, src, matrix, subst, copies)
+        # gate provenance follows a node through its class to that class's
+        # copy; where several gates land on one copy, the first one wins
+        carried: dict[int, int] = {}
+        for node, gate in node_gate.items():
+            copy = copies.get(src.canon[node])
+            if copy is not None:
+                carried.setdefault(copy, gate)
+        src, node_gate = dst, carried
         if src.kinds[matrix] in (TRUE, FALSE):
             break
         subst = {}
@@ -135,26 +139,7 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
         Scope(s.quantifier, tuple(v for v in s.vars if v not in info.eliminated))
         for s in problem.prefix)
     names = {v: problem.var_names[v] for v in quantifier if v not in info.eliminated}
-    node_gate = {}
-    if src.kinds[matrix] not in (TRUE, FALSE):
-        node_gate = _carry_gates(problem.node_gate, rounds)
+    if src.kinds[matrix] in (TRUE, FALSE):
+        node_gate = {}
     reduced = QbfProblem.make(src, prefix, matrix, names, node_gate)
     return reduced, info
-
-
-def _carry_gates(node_gate: dict[int, int],
-                 rounds: list[tuple[list[int], dict[int, int]]]
-                 ) -> dict[int, int]:
-    """Gate provenance of the rebuilt nodes: each round maps a node through
-    its class to the copy of that class. Several gates can map to one node
-    (a gate that folds into another, or merged copies); the first one
-    wins."""
-    out: dict[int, int] = {}
-    for node, gate in node_gate.items():
-        for canon, copies in rounds:
-            node = copies.get(canon[node])
-            if node is None:
-                break
-        else:
-            out.setdefault(node, gate)
-    return out

@@ -112,6 +112,38 @@ def test_malformed_files_are_rejected(text):
         read_aiger(text)
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("aag 1 x 0 1 0\n2\n3\n", "bad AIGER header"),
+    ("aag 0 -1 0 0 1\n", "negative AIGER header field"),
+    ("aag 1 1 0 -1 0\n2\n", "negative AIGER header field"),
+    ("aag 2 1 0 1 1\n2\n3\n4 2\n", "bad and-gate line"),
+    ("aag 1 1 0 1 0\n2\n3\no5 y\n", "symbol for unknown output"),
+    ("aag 1 1 0 1 0\n2\nthree\n", "expected a literal"),
+    ("aag 1 1 0 1 0\n2\n-3\n", "negative literal"),
+])
+def test_malformed_files_name_their_fault(text, fragment):
+    with pytest.raises(ParseError, match=fragment):
+        read_aiger(text)
+
+
+def test_inputs_come_before_every_gate():
+    # a gate's literal follows the inputs', so a later input would take it
+    c = Circuit()
+    a = c.add_input("a")
+    with pytest.raises(ValueError, match="duplicate"):
+        c.add_input("a")
+    c.and_(a, c.add_input("b"))
+    with pytest.raises(ValueError, match="after the first gate"):
+        c.add_input("c")
+
+
+def test_read_keeps_gate_literals_after_the_inputs():
+    text = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni1 c\no0 y\n"
+    back = read_aiger(text)
+    assert back.gates == [(6, 2, 4)]
+    assert write_aiger(back) == text
+
+
 def test_kind_defaults_to_none():
     back = read_aiger("aag 1 1 0 1 0\n2\n3\ni0 x\no0 y\n")
     assert back.kind is None

@@ -204,6 +204,29 @@ def test_verify_rejects_a_wrong_function():
     assert "falsified" in result.reason
 
 
+IGNORED_INPUT_QCIR = """\
+#QCIR-G14
+forall(a, b, c)
+exists(y)
+output(m)
+g1 = or(y, -b)
+g2 = or(-y, b)
+m = and(g1, g2)
+"""
+
+
+def test_verify_rejects_a_function_of_the_wrong_inputs():
+    # y = a & c, but y must equal b, which the certificate never reads: the
+    # miter input for b must not take the literal of the certificate's gate
+    problem = parse_qcir(IGNORED_INPUT_QCIR)
+    circuit = read_aiger("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
+                         "i0 a\ni1 c\no0 y\nc\nskolem\n")
+    result = verify(problem, circuit)
+    assert result.status == "invalid"
+    cex = result.counterexample
+    assert (cex["a"] and cex["c"]) != cex["b"]
+
+
 def test_verify_reports_a_missing_kind():
     problem, _, _ = example_problem()
     circuit = Circuit()

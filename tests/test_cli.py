@@ -219,6 +219,36 @@ def test_verify_rejects_a_symbol_line_without_a_tag(example_path, tmp_path,
     assert "Traceback" not in out + err
 
 
+def test_verify_rejects_a_function_of_the_wrong_inputs(tmp_path, capsys):
+    problem = tmp_path / "equal.qcir"
+    problem.write_text("#QCIR-G14\nforall(a, b, c)\nexists(y)\noutput(m)\n"
+                       "g1 = or(y, -b)\ng2 = or(-y, b)\nm = and(g1, g2)\n")
+    cert = tmp_path / "a_and_c.aag"  # y = a & c, but y must equal b
+    cert.write_text("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
+                    "i0 a\ni1 c\no0 y\nc\nskolem\n")
+    code, out, _ = run(capsys, "verify", str(problem), str(cert))
+    assert code == 2
+    assert out.splitlines()[0] == "Invalid"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("bad.qcir", "#QCIR-G14\nexists(x, a-b)\noutput(x)\n"),
+    ("bad.qdimacs", "p cnf 2 1\ne -1 0\n1 0\n"),
+    ("bad.aag", "aag 0 -1 0 0 1\n"),
+])
+def test_malformed_input_exits_one_without_a_traceback(example_path, tmp_path,
+                                                       capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = (("verify", example_path, str(path)) if name.endswith(".aag")
+            else ("solve", str(path)))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in out + err
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     code, _, _ = run(capsys, "bench", "--family", "qparity", "--n", "2..3",

@@ -141,6 +141,9 @@ def test_qcir_errors():
         ("output(g)\ng = and(x, )\n", "bad literal"),
         ("forall(y)\nfree(x)\noutput(y)\n", "free block must come first"),
         ("exists(x)\nwhat is this\noutput(x)\n", "cannot parse"),
+        ("exists(x, a-b)\noutput(x)\n", "line 1: bad variable name 'a-b'"),
+        ("exists(x)\noutput(g)\ng = exists(a-b; x)\n",
+         "line 3: bad variable name 'a-b'"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError, match=fragment):
@@ -205,6 +208,10 @@ def test_qdimacs_errors():
         ("p nonsense\n", "malformed problem line"),
         ("", "missing problem line"),
         ("p cnf 2 1\ne 1 1 0\n1 0\n", "bound twice"),
+        ("p cnf x 1\n", "line 1: malformed problem line"),
+        ("p cnf 2 1\ne 1 x 0\n1 0\n", "line 2: malformed quantifier line"),
+        ("p cnf 2 1\ne -1 0\n1 0\n", "line 2: negative variable in prefix"),
+        ("p cnf 2 1\n1 x 0\n", "line 2: malformed clause line"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError, match=fragment):
@@ -309,6 +316,21 @@ def test_write_qdimacs_rejects_non_cnf():
     p = parse_qcir("exists(x, y)\noutput(g)\ng = or(g2, x)\ng2 = and(x, y)\n")
     with pytest.raises(ValueError, match="not in CNF"):
         write_qdimacs(p)
+    # a conjunction nested in the matrix; Arena.build would flatten it
+    arena = Arena()
+    x, y, z = (arena.lit(v) for v in (1, 2, 3))
+    matrix = arena._add(AND, (arena.build(AND, [x, y]), z), ("nested",))
+    p = QbfProblem.make(arena, [Scope(Quantifier.EXISTS, (1, 2, 3))], matrix)
+    with pytest.raises(ValueError, match="not in CNF"):
+        write_qdimacs(p)
+
+
+def test_write_qcir_rejects_a_name_qcir_cannot_spell():
+    arena = Arena()
+    p = QbfProblem.make(arena, [Scope(Quantifier.EXISTS, (1,))], arena.lit(1),
+                        {1: "a-b"})
+    with pytest.raises(ValueError, match="not QCIR-compatible"):
+        write_qcir(p)
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +344,9 @@ def test_detect_format():
     assert detect_format("", "thing.qdimacs") == "qdimacs"
     assert detect_format("", "thing.cnf") == "qdimacs"
     assert detect_format("output(x)\n") == "qcir"
+    # without a problem line, a clause or prefix line is QDIMACS
+    assert detect_format("c no problem line\n1 -2 0\n") == "qdimacs"
+    assert detect_format("e 1 0\n") == "qdimacs"
     with pytest.raises(ParseError, match="cannot determine"):
         detect_format("\n\n")
 
