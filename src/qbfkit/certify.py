@@ -14,9 +14,12 @@ block false) wins. The grant of node ``n`` is itself a formula over outer
 variables - the part of ``n`` the outer blocks can see, in the block's
 polarity - so each pair becomes a guarded move: its guard is the
 conjunction of its grant conditions, pairs at a block are tried in recorded
-order, and the first guard that fires supplies the move. Outer strategy
-functions are substituted into deeper guards, which keeps every function a
-circuit over opposite-kind inputs only.
+order, and the first guard that fires supplies the move. A block's pairs
+after its last one with a true variable only restate the default all-false
+move, so they are not emitted. Outer strategy functions are substituted
+into deeper guards, which keeps every function a circuit over
+opposite-kind inputs only. A node's condition extends from block to block
+by the children decided since, so extraction is linear in blocks.
 
 Checking builds a miter: the certificate's gates and the matrix, with each
 function substituted for its variable, go into one structurally hashed
@@ -53,38 +56,47 @@ def condition_formula(problem: QbfProblem, node: int,
     circuit = Circuit()
     var_lit = {v: circuit.add_input(problem.var_names[v])
                for scope in problem.prefix[:scope_index - 1] for v in scope.vars}
-    circuit.add_output("condition", _condition(
-        circuit, problem, compute_influence(problem), node, scope_index,
-        var_lit, {}))
+    influence = compute_influence(problem)
+    _check_interface(influence, node, scope_index)
+    condition = _grant_conditions(circuit, problem, influence, var_lit)
+    circuit.add_output("condition", condition(node, scope_index))
     return circuit
 
 
-def _condition(circuit: Circuit, problem: QbfProblem, influence: InfluenceMap,
-               node: int, scope_index: int, var_lit: dict[int, int],
-               encoded: dict[int, int]) -> int:
-    """Encode the grant condition of `node` at a block into the circuit.
-
-    The condition keeps the children of `node` whose `max_scope` lies
-    before the block, each encoded once per structural class through
-    `encoded` (see `_encode_formula`) and negated at a universal block. The
-    pieces are joined by the node's connective, dualized at a universal
-    block.
-    """
-    if (node not in influence.min_scope
-            or not influence.straddles(node, scope_index - 1)):
+def _check_interface(influence: InfluenceMap, node: int, k: int) -> None:
+    if node not in influence.min_scope or not influence.straddles(node, k - 1):
         raise InternalError(
-            f"node {node} is not on the incoming interface of block "
-            f"{scope_index}")
-    negated = problem.prefix[scope_index - 1].quantifier is Quantifier.FORALL
-    arena = problem.arena
-    pieces = []
-    for child in arena.payload[node]:
-        if influence.max_scope[child] < scope_index:
-            out = _encode_formula(circuit, arena, child, var_lit, encoded)
-            pieces.append(aig_not(out) if negated else out)
-    if (arena.kinds[node] == AND) != negated:
-        return circuit.and_many(pieces)
-    return circuit.or_many(pieces)
+            f"node {node} is not on the incoming interface of block {k}")
+
+
+def _grant_conditions(circuit: Circuit, problem: QbfProblem,
+                      influence: InfluenceMap, var_lit: dict[int, int]):
+    """Return ``condition(node, k)``, the literal of an interface node's
+    grant condition at block ``k``: the join, by the node's connective, of
+    the children decided before k, negated at a universal block. A node's
+    join grows from block to block over its children in `(max_scope,
+    position)` order (a stable sort), so calls come in nondecreasing block
+    order; a condition at block k reads only `var_lit` entries final by
+    then, so one memo of encoded classes serves every block."""
+    arena, max_scope = problem.arena, influence.max_scope
+    encoded: dict[int, int] = {}
+    # node -> (children in order, how many are joined, their join)
+    running: dict[int, tuple[list[int], int, int]] = {}
+
+    def condition(node: int, k: int) -> int:
+        # an OR is joined as the negated AND of its negated children
+        flip = arena.kinds[node] == OR
+        order, joined, base = running.get(node) or (sorted(
+            arena.payload[node], key=max_scope.__getitem__), 0, TRUE_LIT)
+        while joined < len(order) and max_scope[order[joined]] < k:
+            base = circuit.and_(base, flip ^ _encode_formula(
+                circuit, arena, order[joined], var_lit, encoded))
+            joined += 1
+        running[node] = order, joined, base
+        universal = problem.prefix[k - 1].quantifier is Quantifier.FORALL
+        return base ^ (flip != universal)
+
+    return condition
 
 
 def _encode_formula(circuit: Circuit, arena: Arena, node: int,
@@ -140,30 +152,27 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
 
     if reduced.matrix_constant() is None:
         influence = compute_influence(reduced)
-        # Grant conditions at block k read only variables of blocks before k,
-        # whose entries in var_lit are final by then, so one memo of encoded
-        # classes serves every block.
-        encoded: dict[int, int] = {}
-        condition: dict[tuple[int, int], int] = {}  # (node, block) -> literal
-
-        def condition_lit(n: int, k: int) -> int:
-            lit = condition.get((n, k))
-            if lit is None:
-                lit = condition[n, k] = _condition(
-                    circuit, reduced, influence, n, k, var_lit, encoded)
-            return lit
-
+        condition = _grant_conditions(circuit, reduced, influence, var_lit)
         pairs_at = trace.by_scope()
         for k, scope in enumerate(reduced.prefix, start=1):
             if scope.quantifier is not func_q:
                 continue
+            pairs = pairs_at.get(k, [])
+            for pair in pairs:
+                for n in pair.nodes:
+                    _check_interface(influence, n, k)
+            # pairs after the last true move restate the all-false default
+            while pairs and not pairs[-1].true_vars:
+                pairs.pop()
             fires: list[tuple[ProofPair, int]] = []
             earlier = FALSE_LIT
-            for pair in pairs_at.get(k, ()):
-                guard = circuit.and_many(condition_lit(n, k)
+            for i, pair in enumerate(pairs, start=1):
+                guard = circuit.and_many(condition(n, k)
                                          for n in sorted(pair.nodes))
-                fires.append((pair, circuit.and_(guard, aig_not(earlier))))
-                earlier = circuit.or_(earlier, guard)
+                if pair.true_vars:
+                    fires.append((pair, circuit.and_(guard, aig_not(earlier))))
+                if i < len(pairs):
+                    earlier = circuit.or_(earlier, guard)
             for v in scope.vars:
                 var_lit[v] = circuit.or_many(
                     fire for pair, fire in fires if v in pair.true_vars)

@@ -151,9 +151,8 @@ def test_herbrand_extraction_golden():
     value, trace, _ = solve_abstraction(problem)
     assert value is False
     assert write_aiger(extract_functions(problem, trace, value)) == (
-        "aag 10 2 0 1 8\n2\n4\n18\n6 2 5\n8 3 4\n10 7 9\n12 2 4\n"
-        "14 3 5\n16 13 15\n18 11 16\n20 11 17\ni0 x1\ni1 x2\no0 z\n"
-        "c\nherbrand\n")
+        "aag 9 2 0 1 7\n2\n4\n18\n6 2 5\n8 3 4\n10 7 9\n12 2 4\n"
+        "14 3 5\n16 13 15\n18 11 16\ni0 x1\ni1 x2\no0 z\nc\nherbrand\n")
 
 
 def test_herbrand_extraction_computes_parity():
@@ -581,7 +580,21 @@ def test_deep_matrix_writes_as_qcir():
     assert gate_lines[-1].startswith("_g1 = and(")
 
 
-def test_verify_encodes_the_matrix_once_per_class(monkeypatch):
+@pytest.fixture
+def and_calls(monkeypatch):
+    """The operands of each `Circuit.and_` call, in call order."""
+    calls = []
+    and_ = Circuit.and_
+
+    def counted(circuit, a, b):
+        calls.append((a, b))
+        return and_(circuit, a, b)
+
+    monkeypatch.setattr(Circuit, "and_", counted)
+    return calls
+
+
+def test_verify_encodes_the_matrix_once_per_class(and_calls):
     # the tree text of qparity(32) parses to 4,097 nodes but only 253
     # structural classes; the miter replays the certificate and encodes
     # each class of the matrix once
@@ -590,17 +603,53 @@ def test_verify_encodes_the_matrix_once_per_class(monkeypatch):
     value, trace, _ = solve_abstraction(reduced)
     circuit = build_certificate(problem, reduced, info.eliminated, trace,
                                 value)
-    calls = 0
-    and_ = Circuit.and_
-
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return and_(self, a, b)
-
-    monkeypatch.setattr(Circuit, "and_", counted)
+    and_calls.clear()
     assert verify(problem, circuit).valid
-    assert calls <= 1000
+    assert len(and_calls) <= 1000
+
+
+def test_extraction_is_linear_in_blocks(and_calls):
+    # Each node's grant condition extends from block to block, so the whole
+    # extraction makes a bounded number of gate calls per block, however
+    # many children the root has. The count is exact, not a timing.
+    for n in (128, 256):
+        problem = gen_expansion_hard(n)
+        reduced, info = preprocess(problem)
+        value, trace, _ = solve_abstraction(reduced)
+        and_calls.clear()
+        build_certificate(problem, reduced, info.eliminated, trace, value)
+        assert len(and_calls) <= 5 * len(reduced.prefix)
+
+
+def dead_gates(circuit):
+    """The gates outside every output's cone."""
+    live = set()
+    for _, lit in circuit.outputs:
+        live.update(circuit.cone(lit))
+    return [lhs for lhs, _, _ in circuit.gates if lhs // 2 not in live]
+
+
+def test_certificates_have_no_dead_gates():
+    # A block's pairs after its last true move restate the all-false
+    # default, so they, and the `earlier` join after the last emitted
+    # pair, leave no gate behind.
+    problems = [*(gen_expansion_hard(n) for n in range(1, 9)),
+                *(gen_qparity(n) for n in range(2, 7)),
+                *(gen_random(GenSpec(seed=i)) for i in range(300))]
+    for problem in problems:
+        reduced, info = preprocess(problem)
+        for solved, eliminated in ((problem, {}), (reduced, info.eliminated)):
+            value, trace, _ = solve_abstraction(solved)
+            circuit = build_certificate(problem, solved, eliminated, trace,
+                                        value)
+            assert dead_gates(circuit) == [], write_qcir(problem)
+    problem = gen_expansion_hard(128)
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    circuit = build_certificate(problem, reduced, info.eliminated, trace,
+                                value)
+    assert len(circuit.gates) == 380
+    assert dead_gates(circuit) == []
 
 
 def test_extraction_rejects_a_trace_naming_an_unknown_node():

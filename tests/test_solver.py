@@ -153,10 +153,12 @@ def test_trace_for_scope_filters_pairs():
     assert len(trace.by_scope()[2]) == 2
 
 
-def end_to_end_digest(problems):
-    """SHA-256 over what both solvers and the certificate builder make of
-    each problem, as given and after preprocessing."""
-    records = []
+def end_to_end_digests(problems):
+    """Two SHA-256 digests over what both solvers and the certificate
+    builder make of each problem, as given and after preprocessing: one
+    over the search (verdicts, per-block queries and refinements), one over
+    the certificates' AIGER text."""
+    searches, certificates = [], []
     for problem in problems:
         reduced, info = preprocess(problem)
         for solved, eliminated in ((problem, {}), (reduced, info.eliminated)):
@@ -164,23 +166,41 @@ def end_to_end_digest(problems):
             aag = write_aiger(build_certificate(problem, solved, eliminated,
                                                 trace, value))
             avalue, astats = solve_assignment(solved)
-            records.append([value, stats.sat_queries, stats.refinements,
-                            avalue, astats.sat_queries, astats.refinements,
-                            hashlib.sha256(aag.encode()).hexdigest()])
-    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+            searches.append([value, stats.sat_queries, stats.refinements,
+                             avalue, astats.sat_queries, astats.refinements])
+            certificates.append(hashlib.sha256(aag.encode()).hexdigest())
+    return tuple(hashlib.sha256(json.dumps(records).encode()).hexdigest()
+                 for records in (searches, certificates))
+
+
+def golden_families():
+    """The problem families the two end-to-end goldens pin."""
+    return [(gen_qparity(n) for n in range(2, 7)),
+            (gen_expansion_hard(n) for n in range(1, 5)),
+            (gen_random(GenSpec(seed=i)) for i in range(300))]
 
 
 def test_end_to_end_golden():
-    # Verdicts, per-block query and refinement counts of both solvers, and
-    # certificates, pinned: a change that renumbers SAT variables or
-    # reorders clauses shows up here even when every verdict stays right.
-    assert end_to_end_digest(gen_qparity(n) for n in range(2, 7)) == (
-        "21d919a12eb86947e8e350a64b5d8dde9830efdb5aa814320bc2e574c89ab180")
-    assert end_to_end_digest(gen_expansion_hard(n) for n in range(1, 5)) == (
-        "b632fb50072d20d97c4bc05685f45df8c490056d4591293ecf77bc6e60e5fb7a")
-    assert end_to_end_digest(gen_random(GenSpec(seed=i))
-                             for i in range(300)) == (
-        "1b3a102fc02e348711fb7a444e6912064bd0b76e54aeb420035f43871b6e71e9")
+    # Verdicts and per-block query and refinement counts of both solvers,
+    # pinned: a change that renumbers SAT variables or reorders clauses
+    # shows up here even when every verdict stays right.
+    assert [end_to_end_digests(family)[0]
+            for family in golden_families()] == [
+        "9e18dc325f322084c63cc2b5c30bd53ffa60774b9fa0d7653766762e0bd83268",
+        "66ece71ffd80ee31430d39498f5a42011e3cd8acfac00b0bf6621318ada4d007",
+        "0c307b4df96c21206e70d2a53060a380cdbc3fbeaf386f9a4c766caf41f29db2",
+    ]
+
+
+def test_certificate_golden():
+    # The certificates of the same runs, pinned apart from the search, so
+    # a change to extraction alone moves only this digest.
+    assert [end_to_end_digests(family)[1]
+            for family in golden_families()] == [
+        "4b71e1e45c304b638ed7636d89ab23e6e88827b79afd4291a2e4f7e800c15d26",
+        "25d7ca6b1b0f49188b38f82519d4ae63881ad3444321c63a82084f47e36f1a12",
+        "c8aa34720d741405efbd49dbb7f663550d1d144afb964c7e2b48a13cfbfffab0",
+    ]
 
 
 def search_digest(problems, monkeypatch):
