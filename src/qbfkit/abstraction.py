@@ -228,7 +228,8 @@ class ScopeAbstraction:
         self.claim: dict[int, int] = {}
         self.refinement_count = 0
         self._exposed_set = set(self.exposed)
-        self._neg_claim_occ: dict[int, list[tuple[int, ...]]] | None = None
+        # per claim, ascending by node: its clauses less its negated literal
+        self._raise_checks: list[tuple[int, list[tuple[int, ...]]]] | None = None
 
         for v in problem.prefix[scope_index - 1].vars:
             if v in influence.read:
@@ -419,24 +420,31 @@ class ScopeAbstraction:
         re-checked to still satisfy every clause.
         """
         model = list(model)
-        if self._neg_claim_occ is None:
-            occ: dict[int, list[tuple[int, ...]]] = {sv: [] for sv in self.claim.values()}
+        if self._raise_checks is None:
+            occ: dict[int, list[tuple[int, ...]]] = {
+                sv: [] for sv in self.claim.values()}
             for clause in self.theta.db:
                 for lit in clause:
                     if lit < 0 and -lit in occ:
-                        occ[-lit].append(clause)
-            self._neg_claim_occ = occ
-
-        def satisfied(lit: int) -> bool:
-            return model[abs(lit)] == (lit > 0)
-
-        for _, sv in sorted(self.claim.items()):
-            if model[sv] == 0 and all(
-                    any(satisfied(l) for l in cl if l != -sv)
-                    for cl in self._neg_claim_occ[sv]):
+                        occ[-lit].append(tuple(l for l in clause if l != lit))
+            self._raise_checks = [(sv, occ[sv])
+                                  for _, sv in sorted(self.claim.items())]
+        for sv, rests in self._raise_checks:
+            if model[sv]:
+                continue
+            for rest in rests:
+                for lit in rest:
+                    if model[lit] if lit > 0 else not model[-lit]:
+                        break
+                else:
+                    break  # -sv is this clause's only true literal
+            else:
                 model[sv] = 1
         for clause in self.theta.db:
-            if not any(satisfied(l) for l in clause):
+            for lit in clause:
+                if model[lit] if lit > 0 else not model[-lit]:
+                    break
+            else:
                 raise InternalError("claim maximization broke a clause")
         return model
 

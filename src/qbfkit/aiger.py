@@ -128,6 +128,58 @@ class Circuit:
         return {self.inputs[v - 1] for v in self.cone(lit) if v <= ninputs}
 
 
+class TwoLevelCircuit(Circuit):
+    """A circuit whose `and_` also applies the local two-level rules of
+    Brummayer and Biere, "Local Two-Level And-Inverter Graph Minimization
+    without Blowup" (MEMICS 2006), wherever an operand is a gate, plain or
+    negated:
+
+    * contradiction: ``(x1 & x2) & -x1 = 0``, and
+      ``(x1 & x2) & (y1 & y2) = 0`` when some ``xi`` is ``-yj``;
+    * idempotence: ``(x1 & x2) & x1 = x1 & x2``;
+    * subsumption: ``-(x1 & x2) & -x1 = -x1``;
+    * substitution: ``-(x1 & x2) & x1 = x1 & -x2``.
+
+    Each rule returns an existing literal or asks for at most one gate, so
+    the graph never grows. Substitution swaps an operand for one of its
+    operands, which is defined before it, so rewriting the pair in a loop
+    ends after at most as many steps as the operands are deep. A rule can
+    leave a gate built earlier without a user, which in a certificate is a
+    dead gate, so certificates stay plain `Circuit`s and only the checker's
+    miter uses this class.
+    """
+
+    def and_(self, a: int, b: int) -> int:
+        gates, first = self._gates, len(self.inputs) + 1
+        while True:
+            if a > b:
+                a, b = b, a
+            if a == FALSE_LIT or a == negate(b):
+                return FALSE_LIT
+            if a == TRUE_LIT or a == b:
+                return b
+            pair_a = gates[a // 2 - first] if a // 2 >= first else None
+            pair_b = gates[b // 2 - first] if b // 2 >= first else None
+            if pair_a and pair_b and not (a | b) & 1 and (
+                    negate(pair_a[0]) in pair_b or negate(pair_a[1]) in pair_b):
+                return FALSE_LIT
+            substituted = None
+            for x, y, pair in ((a, b, pair_a), (b, a, pair_b)):
+                if pair is None:
+                    continue
+                if negate(y) in pair:  # subsumption or contradiction
+                    return y if x & 1 else FALSE_LIT
+                if y in pair:
+                    if not x & 1:  # idempotence
+                        return x
+                    if substituted is None:
+                        substituted = y, negate(
+                            pair[1] if y == pair[0] else pair[0])
+            if substituted is None:
+                return super().and_(a, b)
+            a, b = substituted
+
+
 def write_aiger(circuit: Circuit) -> str:
     lines = [f"aag {circuit.max_var} {len(circuit.inputs)} 0 "
              f"{len(circuit.outputs)} {len(circuit._gates)}"]

@@ -25,7 +25,14 @@ Checking builds a miter: the certificate's gates and the matrix, with each
 function substituted for its variable, go into one structurally hashed
 and-inverter graph. A matrix subformula a grant condition copied becomes the
 gate it copied, so the SAT search never has to prove two copies equal; a
-goal that folds to a constant needs no search at all.
+goal that folds to a constant needs no search at all. The miter also applies
+Brummayer and Biere's local two-level rules (`aiger.TwoLevelCircuit`:
+contradiction, idempotence, subsumption and substitution), which see through
+one gate to its operands. A function that excludes its partner, as a
+Herbrand ``u = -e & ...`` does, then folds ``e & u`` to false, and the
+matrix parts it decides fold to what remains. Certificates are built
+without the rules: a rule can leave an operand gate unused, which in a
+certificate would be a dead gate.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abstraction import InfluenceMap, compute_influence
-from .aiger import FALSE_LIT, TRUE_LIT, Circuit
+from .aiger import FALSE_LIT, TRUE_LIT, Circuit, TwoLevelCircuit
 from .aiger import negate as aig_not
 from .formula import (AND, LIT, OR, TRUE, Arena, InternalError, QbfProblem,
                       Quantifier, class_postorder, dependencies, node_vars)
@@ -208,11 +215,16 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
     Validity is decided on a miter: the certificate's gates and the matrix,
     each function output in place of its variable, are built into one
     circuit. The goal - the negated matrix (Skolem) or the matrix
-    (Herbrand) - must be unsatisfiable. A goal that folds to a constant is
-    decided at once, any other by one SAT call over the goal's cone. An
-    invalid certificate comes with a counterexample: values of the
-    opposite-kind variables, in variable order, under which the strategy
-    loses; inputs outside the goal's cone read False.
+    (Herbrand) - must be unsatisfiable. The certificate's gates are
+    rebuilt, not copied: the miter folds constants, hashes gates
+    structurally and applies the two-level rules of `aiger.TwoLevelCircuit`,
+    each of which holds for any operands. Only the miter uses the rules,
+    since in a certificate the gates they leave unused would be dead. A goal
+    that folds to a constant is decided at once, any other by one SAT call
+    over the goal's cone. An invalid certificate comes with a
+    counterexample: values of the opposite-kind variables, in variable
+    order, under which the strategy loses; inputs outside the goal's cone
+    read False.
     """
     if circuit.kind == "skolem":
         func_q = Quantifier.EXISTS
@@ -260,7 +272,7 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
                 reason=f"function for {names[v]} depends on {outside}, "
                 "which are not outer variables of the opposite kind")
 
-    miter = Circuit()
+    miter = TwoLevelCircuit()
     lit_of = [FALSE_LIT] * (circuit.max_var + 1)  # certificate var -> literal
     var_lit: dict[int, int] = {}
     for name in circuit.inputs:

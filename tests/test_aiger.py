@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from qbfkit.aiger import (FALSE_LIT, TRUE_LIT, Circuit, negate, read_aiger,
-                          write_aiger)
+from qbfkit.aiger import (FALSE_LIT, TRUE_LIT, Circuit, TwoLevelCircuit,
+                          negate, read_aiger, write_aiger)
 from qbfkit.parsing import ParseError
 
 
@@ -29,6 +29,83 @@ def test_structural_hashing_reuses_gates():
     g2 = c.and_(b, a)
     assert g1 == g2
     assert len(c.gates) == 1
+
+
+def rule_operands():
+    """A two-level circuit over x1, x2 and y with the gates g = x1 & x2 and
+    h = -x1 & y, and every such literal by name, plain and negated."""
+    c = TwoLevelCircuit()
+    x1, x2, y = (c.add_input(name) for name in ("x1", "x2", "y"))
+    named = {"x1": x1, "x2": x2, "y": y, "g": c.and_(x1, x2),
+             "h": c.and_(negate(x1), y)}
+    named.update({f"-{name}": negate(lit) for name, lit in named.items()})
+    return c, named
+
+
+@pytest.mark.parametrize("rule, left, right, expected", [
+    ("contradiction", "g", "-x1", "false"),
+    ("contradiction", "-x2", "g", "false"),
+    ("contradiction across two gates", "g", "h", "false"),
+    ("contradiction across two gates", "h", "g", "false"),
+    ("idempotence", "g", "x1", "g"),
+    ("idempotence", "x2", "g", "g"),
+    ("subsumption", "-g", "-x1", "-x1"),
+    ("subsumption", "-x2", "-g", "-x2"),
+    ("substitution", "-g", "x1", "x1 & -x2"),
+    ("substitution", "x2", "-g", "x2 & -x1"),
+    ("none", "g", "y", "g & y"),
+])
+def test_two_level_rules(rule, left, right, expected):
+    c, named = rule_operands()
+    before = len(c.gates)
+    got = c.and_(named[left], named[right])
+    if "&" in expected:  # the one gate the rule asks for
+        a, b = (named[name] for name in expected.split(" & "))
+        assert c.gates == c.gates[:before] + [(got, min(a, b), max(a, b))]
+    else:
+        assert got == named.get(expected, FALSE_LIT)
+        assert len(c.gates) == before
+
+
+def test_substitution_loops_without_recursion():
+    # lit_k = -(x & -lit_(k-1)) with lit_0 = -(x & z), built without the
+    # two-level rules: lit_k & x substitutes its way down to x & -z, one
+    # level at a time, through a chain deeper than the recursion limit.
+    c = TwoLevelCircuit()
+    x, z = c.add_input("x"), c.add_input("z")
+    lit = negate(Circuit.and_(c, x, z))
+    for _ in range(5000):
+        lit = negate(Circuit.and_(c, x, negate(lit)))
+    got = c.and_(lit, x)
+    assert c.gates[-1] == (got, x, negate(z))
+
+
+FULL_TABLE = (1 << 16) - 1
+
+
+def lit_table(tables, lit):
+    table = tables[lit // 2]
+    return table ^ FULL_TABLE if lit & 1 else table
+
+
+def test_two_level_rules_keep_every_truth_table():
+    # 16-row truth tables over 4 inputs, as bit masks indexed by variable
+    rng = random.Random(2006)
+    inputs = [sum(1 << row for row in range(16) if row >> i & 1)
+              for i in range(4)]
+    for _ in range(3000):
+        c = TwoLevelCircuit()
+        lits = [TRUE_LIT] + [c.add_input(f"v{i}") for i in range(4)]
+        tables = [0, *inputs]
+        for _ in range(12):
+            a, b = (negate(lit) if rng.random() < 0.5 else lit
+                    for lit in (rng.choice(lits), rng.choice(lits)))
+            got = c.and_(a, b)
+            for _, x, y in c.gates[len(tables) - 5:]:
+                tables.append(lit_table(tables, x) & lit_table(tables, y))
+            assert lit_table(tables, got) == (
+                lit_table(tables, a) & lit_table(tables, b))
+            lits.append(got)
 
 
 def test_or_and_many_semantics():

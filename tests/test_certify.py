@@ -7,7 +7,9 @@ import time
 import pytest
 
 from qbfkit.abstraction import compute_influence
-from qbfkit.aiger import TRUE_LIT, Circuit, negate, read_aiger, write_aiger
+from qbfkit import certify
+from qbfkit.aiger import (TRUE_LIT, Circuit, TwoLevelCircuit, negate,
+                          read_aiger, write_aiger)
 from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
 from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
@@ -361,15 +363,43 @@ def test_verify_makes_one_cheap_sat_call_on_chained_parity(solve_calls):
     assert solve_calls[0] <= 300
 
 
-def test_verify_backtracks_chronologically_on_expansion_hard(monkeypatch):
-    # Half the clauses this check learns are units that would undo about a
-    # hundred decision levels each; chronological backtracking keeps those
-    # levels instead of propagating them again.
-    problem = gen_expansion_hard(256)
+def expansion_hard_certificate(n):
+    problem = gen_expansion_hard(n)
     reduced, info = preprocess(problem)
     value, trace, _ = solve_abstraction(reduced)
-    circuit = build_certificate(problem, reduced, info.eliminated, trace,
-                                value)
+    return problem, build_certificate(problem, reduced, info.eliminated,
+                                      trace, value)
+
+
+def test_verify_is_linear_on_expansion_hard(monkeypatch):
+    # The two-level rules fold each (e_i & u_i) | c_2i of the substituted
+    # matrix to c_2i, so every c is implied at level 0 and the one SAT call
+    # ends in propagation. The counts are exact, not timings.
+    solvers = []
+    solve = Solver.solve
+
+    def recorded(solver, assumptions=()):
+        solvers.append(solver)
+        return solve(solver, assumptions)
+
+    for n in (64, 128, 256):
+        problem, circuit = expansion_hard_certificate(n)
+        solvers.clear()
+        monkeypatch.setattr(Solver, "solve", recorded)
+        assert verify(problem, circuit).status == "valid"
+        monkeypatch.undo()
+        assert len(solvers) == 1
+        assert solvers[0].conflicts == 0
+        assert solvers[0].propagations <= 8 * n
+
+
+def test_verify_backtracks_chronologically_on_expansion_hard(monkeypatch):
+    # On a miter without the two-level rules, half the clauses this check
+    # learns are units that would undo about a hundred decision levels
+    # each; chronological backtracking keeps those levels instead of
+    # propagating them again.
+    monkeypatch.setattr(certify, "TwoLevelCircuit", Circuit)
+    problem, circuit = expansion_hard_certificate(256)
     counts = []
     solve = Solver.solve
 
@@ -488,13 +518,30 @@ def substituted_matrix(problem, circuit, values):
     return bool(evaluate(problem.arena, problem.matrix, full))
 
 
+def negate_gate_operand(aag, gate, operand):
+    """AIGER text with operand 0 or 1 of the given gate negated."""
+    lines = aag.split("\n")
+    _, _, nin, _, nout, _ = lines[0].split()
+    at = 1 + int(nin) + int(nout) + gate
+    parts = [int(tok) for tok in lines[at].split()]
+    parts[1 + operand] ^= 1
+    lines[at] = " ".join(map(str, parts))
+    return "\n".join(lines)
+
+
 def test_verify_agrees_with_brute_force_on_certificates_and_mutants():
-    # Each certificate after an AIGER round trip, and a mutant with one
-    # output negated; every invalid one must come with a counterexample
-    # under which the strategy really loses.
+    # Each certificate after an AIGER round trip, a mutant with one output
+    # negated, and one mutant per gate with one of its operands negated;
+    # every invalid one must come with a counterexample under which the
+    # strategy really loses. Few random certificates have gates, so small
+    # structured ones join them.
     statuses = {"valid": 0, "invalid": 0}
-    for seed in range(300):
-        problem = gen_random(GenSpec(seed=seed, max_vars=10, max_nodes=60))
+    problems = [*(gen_random(GenSpec(seed=seed, max_vars=10, max_nodes=60))
+                  for seed in range(300)),
+                *(gen_qparity(n) for n in range(2, 6)),
+                *(gen_expansion_hard(n) for n in range(1, 4))]
+    gate_mutants = 0
+    for seed, problem in enumerate(problems):
         reduced, info = preprocess(problem)
         value, trace, _ = solve_abstraction(reduced)
         aag = write_aiger(build_certificate(problem, reduced, info.eliminated,
@@ -506,6 +553,10 @@ def test_verify_agrees_with_brute_force_on_certificates_and_mutants():
             name, lit = mutant.outputs[i]
             mutant.outputs[i] = (name, negate(lit))
             circuits.append(mutant)
+        for gate in range(len(circuits[0].gates)):
+            circuits.append(read_aiger(negate_gate_operand(
+                aag, gate, (seed + gate) % 2)))
+            gate_mutants += 1
         for circuit in circuits:
             result = verify(problem, circuit)
             expected = brute_force_check(problem, circuit)
@@ -522,6 +573,7 @@ def test_verify_agrees_with_brute_force_on_certificates_and_mutants():
             assert substituted_matrix(problem, circuit, values) is (
                 circuit.kind == "herbrand"), (seed, result)
     assert statuses["valid"] > 250 and statuses["invalid"] > 40, statuses
+    assert gate_mutants > 60, gate_mutants
 
 
 # ----------------------------------------------------------------------
@@ -567,6 +619,27 @@ def test_deep_matrix_certifies_at_the_default_recursion_limit():
     assert time.perf_counter() - start < 2.0
 
 
+def test_deep_certificate_verifies_at_the_default_recursion_limit():
+    # the Herbrand function y := D of deep_xor_problem, as a gate chain
+    # 5,000 deep, rebuilt gate by gate in the miter
+    depth = 5000
+    problem, _ = deep_xor_problem(depth)
+    circuit = Circuit()
+    circuit.kind = "herbrand"
+    x = {v: circuit.add_input(f"{v}") for v in range(1, 9)}
+    d = x[1]
+    for i in range(1, depth + 1):
+        v = i % 8 + 1
+        lit = x[v] if (i // 8) % 2 == 0 else negate(x[v])
+        d = circuit.and_(d, lit) if i % 2 else circuit.or_(d, lit)
+    circuit.add_output("9", d)
+    aag = write_aiger(circuit)
+    assert len(circuit.gates) == depth
+    assert verify(problem, read_aiger(aag)).status == "valid"
+    circuit.outputs = [("9", negate(d))]
+    assert verify(problem, read_aiger(write_aiger(circuit))).status == "invalid"
+
+
 def test_deep_matrix_writes_as_qcir():
     problem, _ = deep_xor_problem(3000)
     text = write_qcir(problem)
@@ -580,21 +653,26 @@ def test_deep_matrix_writes_as_qcir():
     assert gate_lines[-1].startswith("_g1 = and(")
 
 
-@pytest.fixture
-def and_calls(monkeypatch):
-    """The operands of each `Circuit.and_` call, in call order."""
+def count_and_calls(monkeypatch, cls):
+    """The operands of each `cls.and_` call, in call order."""
     calls = []
-    and_ = Circuit.and_
+    and_ = cls.and_
 
     def counted(circuit, a, b):
         calls.append((a, b))
         return and_(circuit, a, b)
 
-    monkeypatch.setattr(Circuit, "and_", counted)
+    monkeypatch.setattr(cls, "and_", counted)
     return calls
 
 
-def test_verify_encodes_the_matrix_once_per_class(and_calls):
+@pytest.fixture
+def and_calls(monkeypatch):
+    """The operands of each certificate gate call, in call order."""
+    return count_and_calls(monkeypatch, Circuit)
+
+
+def test_verify_encodes_the_matrix_once_per_class(monkeypatch):
     # the tree text of qparity(32) parses to 4,097 nodes but only 253
     # structural classes; the miter replays the certificate and encodes
     # each class of the matrix once
@@ -603,9 +681,9 @@ def test_verify_encodes_the_matrix_once_per_class(and_calls):
     value, trace, _ = solve_abstraction(reduced)
     circuit = build_certificate(problem, reduced, info.eliminated, trace,
                                 value)
-    and_calls.clear()
+    miter_calls = count_and_calls(monkeypatch, TwoLevelCircuit)
     assert verify(problem, circuit).valid
-    assert len(and_calls) <= 1000
+    assert len(miter_calls) <= 1000
 
 
 def test_extraction_is_linear_in_blocks(and_calls):
