@@ -10,7 +10,9 @@ circuit carries.
 
 from __future__ import annotations
 
+from .formula import AND, LIT, OR, TRUE, Arena, class_postorder
 from .parsing import ParseError
+from .sat import Solver
 
 FALSE_LIT = 0
 TRUE_LIT = 1
@@ -126,6 +128,58 @@ class Circuit:
         """Names of the inputs the given literal structurally depends on."""
         ninputs = len(self.inputs)
         return {self.inputs[v - 1] for v in self.cone(lit) if v <= ninputs}
+
+    def to_cnf(self, solver: Solver, lit: int) -> dict[int, int]:
+        """Tseitin-encode the cone of a non-constant literal into `solver`.
+
+        Each cone variable gets a fresh SAT variable in ascending order, so
+        inputs come first and fresh solvers number a cone alike, and each
+        gate gets its three clauses. Returns the map from circuit variable to
+        SAT variable; the literal itself is left unasserted.
+        """
+        sat_var = {v: solver.fresh_var() for v in self.cone(lit)}
+
+        def to_sat(lit: int) -> int:
+            base = sat_var[lit // 2]
+            return -base if lit & 1 else base
+
+        gates, first_gate = self._gates, len(self.inputs) + 1
+        for v in sat_var:
+            if v < first_gate:
+                continue
+            a, b = gates[v - first_gate]
+            gate, lit_a, lit_b = sat_var[v], to_sat(a), to_sat(b)
+            solver.add_clause([-gate, lit_a])
+            solver.add_clause([-gate, lit_b])
+            solver.add_clause([gate, -lit_a, -lit_b])
+        return sat_var
+
+
+def encode_formula(circuit: Circuit, arena: Arena, node: int,
+                   var_lit: dict[int, int], encoded: dict[int, int]) -> int:
+    """Encode an NNF subformula into the circuit, substituting variables.
+
+    `var_lit` maps each variable of the subformula to a circuit literal.
+    `encoded` memoizes the circuit literal of every structural class
+    (`arena.canon`) encoded so far, across calls, so each class is encoded
+    once however many nodes it has. Reusing it is sound as long as no entry
+    of `var_lit` that an encoded class reads is changed afterwards.
+    """
+    kinds, payload, canon = arena.kinds, arena.payload, arena.canon
+    for n in class_postorder(arena, node, encoded):
+        kind = kinds[n]
+        if kind == LIT:
+            lit = payload[n]
+            base = var_lit[abs(lit)]
+            out = base if lit > 0 else negate(base)
+        elif kind == AND:
+            out = circuit.and_many([encoded[canon[c]] for c in payload[n]])
+        elif kind == OR:
+            out = circuit.or_many([encoded[canon[c]] for c in payload[n]])
+        else:
+            out = TRUE_LIT if kind == TRUE else FALSE_LIT
+        encoded[canon[n]] = out
+    return encoded[canon[node]]
 
 
 class TwoLevelCircuit(Circuit):

@@ -33,6 +33,10 @@ Herbrand ``u = -e & ...`` does, then folds ``e & u`` to false, and the
 matrix parts it decides fold to what remains. Certificates are built
 without the rules: a rule can leave an operand gate unused, which in a
 certificate would be a dead gate.
+
+Both steps encode matrix subformulas with `aiger.encode_formula`, the one
+NNF encoder, which the assignment solver shares; the check hands the goal's
+cone to its SAT call through `aiger.Circuit.to_cnf`.
 """
 
 from __future__ import annotations
@@ -40,10 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abstraction import InfluenceMap, compute_influence
-from .aiger import FALSE_LIT, TRUE_LIT, Circuit, TwoLevelCircuit
+from .aiger import (FALSE_LIT, TRUE_LIT, Circuit, TwoLevelCircuit,
+                    encode_formula)
 from .aiger import negate as aig_not
-from .formula import (AND, LIT, OR, TRUE, Arena, InternalError, QbfProblem,
-                      Quantifier, class_postorder, dependencies, node_vars)
+from .formula import (OR, InternalError, QbfProblem, Quantifier, dependencies,
+                      node_vars)
 from .parsing import ParseError
 from .sat import Solver
 from .solver import ProofPair, ProofTrace
@@ -96,7 +101,7 @@ def _grant_conditions(circuit: Circuit, problem: QbfProblem,
         order, joined, base = running.get(node) or (sorted(
             arena.payload[node], key=max_scope.__getitem__), 0, TRUE_LIT)
         while joined < len(order) and max_scope[order[joined]] < k:
-            base = circuit.and_(base, flip ^ _encode_formula(
+            base = circuit.and_(base, flip ^ encode_formula(
                 circuit, arena, order[joined], var_lit, encoded))
             joined += 1
         running[node] = order, joined, base
@@ -104,33 +109,6 @@ def _grant_conditions(circuit: Circuit, problem: QbfProblem,
         return base ^ (flip != universal)
 
     return condition
-
-
-def _encode_formula(circuit: Circuit, arena: Arena, node: int,
-                    var_lit: dict[int, int], encoded: dict[int, int]) -> int:
-    """Encode an NNF subformula into the circuit, substituting variables.
-
-    `var_lit` maps each variable of the subformula to a circuit literal.
-    `encoded` memoizes the circuit literal of every structural class
-    (`arena.canon`) encoded so far, across calls, so each class is encoded
-    once however many nodes it has. Reusing it is sound as long as no entry
-    of `var_lit` that an encoded class reads is changed afterwards.
-    """
-    kinds, payload, canon = arena.kinds, arena.payload, arena.canon
-    for n in class_postorder(arena, node, encoded):
-        kind = kinds[n]
-        if kind == LIT:
-            lit = payload[n]
-            base = var_lit[abs(lit)]
-            out = base if lit > 0 else aig_not(base)
-        elif kind == AND:
-            out = circuit.and_many([encoded[canon[c]] for c in payload[n]])
-        elif kind == OR:
-            out = circuit.or_many([encoded[canon[c]] for c in payload[n]])
-        else:
-            out = TRUE_LIT if kind == TRUE else FALSE_LIT
-        encoded[canon[n]] = out
-    return encoded[canon[node]]
 
 
 def extract_functions(problem: QbfProblem, trace: ProofTrace,
@@ -287,7 +265,7 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
                                       lit_of[b // 2] ^ (b & 1))
     for name, lit in circuit.outputs:
         var_lit[var_of_name[name]] = lit_of[lit // 2] ^ (lit & 1)
-    matrix = _encode_formula(miter, problem.arena, problem.matrix, var_lit, {})
+    matrix = encode_formula(miter, problem.arena, problem.matrix, var_lit, {})
     goal = aig_not(matrix) if func_q is Quantifier.EXISTS else matrix
     if goal == FALSE_LIT:
         return VerifyResult("valid")
@@ -295,23 +273,9 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
     value = {}  # miter variable -> value in the counterexample
     if goal != TRUE_LIT:
         solver = Solver()
-        cone = miter.cone(goal)
-        sat_var = {v: solver.fresh_var() for v in cone}
-
-        def to_sat(lit: int) -> int:
-            base = sat_var[lit // 2]
-            return -base if lit & 1 else base
-
-        gates, first_gate = miter.gates, len(miter.inputs) + 1
-        for v in cone:
-            if v < first_gate:
-                continue
-            _, a, b = gates[v - first_gate]
-            gate, lit_a, lit_b = sat_var[v], to_sat(a), to_sat(b)
-            solver.add_clause([-gate, lit_a])
-            solver.add_clause([-gate, lit_b])
-            solver.add_clause([gate, -lit_a, -lit_b])
-        solver.add_clause([to_sat(goal)])
+        sat_var = miter.to_cnf(solver, goal)
+        top = sat_var[goal // 2]
+        solver.add_clause([-top if goal & 1 else top])
         result = solver.solve([])
         if not result.sat:
             return VerifyResult("valid")

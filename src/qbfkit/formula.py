@@ -39,9 +39,11 @@ class Arena:
     class are not merged here; each `lit` and `build` call still appends a
     node. Most passes that read a matrix merge them: they walk it with
     `class_postorder` and key their memos by class id, so
-    `QbfProblem.make`, `evaluate`, preprocessing, `encode_nnf` and the
-    certificate encoder each handle every class once, and preprocessing
-    copies one node per class. `compute_influence` (in `abstraction`),
+    `QbfProblem.make`, `evaluate`, preprocessing and
+    `aiger.encode_formula` (the assignment solver's, the certificate
+    builder's and the verifier's one encoder into an and-inverter graph)
+    each handle every class once, and preprocessing copies one node per
+    class. `compute_influence` (in `abstraction`),
     and so the per-block abstractions, still see every node, since each
     needs its own `max_scope`; `write_qcir` writes every occurrence.
     A node's children always exist before it, so ascending ids are a

@@ -16,6 +16,12 @@ Backtracking", SAT 2019). While such literals are on the trail, an implied
 literal takes the highest level among its reason's other literals, a conflict
 is analysed at the highest level in its clause, and a backtrack keeps the
 literals at or below its target and propagates them again.
+
+The solver knows clauses only. A formula reaches it as an and-inverter
+graph (`aiger.encode_formula`) whose cone `aiger.Circuit.to_cnf` encodes,
+three clauses per gate: so the assignment solver encodes the matrix and the
+certificate checker its miter. The per-block abstractions of
+:mod:`qbfkit.abstraction` write their own clauses.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-
-from .formula import AND, FALSE, LIT, TRUE, Arena, class_postorder
 
 _UNDEF = -1
 CHRONO_THRESHOLD = 100  # longest backjump taken non-chronologically, in levels
@@ -72,7 +76,6 @@ class Solver:
         self._out_of_order = False  # trail levels are not ascending
         self.conflicts = 0
         self.propagations = 0
-        self._true_lit = 0
 
     # ------------------------------------------------------------------
     # variables and clauses
@@ -88,13 +91,6 @@ class Solver:
         self.watches.append([])
         heapq.heappush(self.order, (0.0, self.nvars))
         return self.nvars
-
-    def true_lit(self) -> int:
-        """A literal asserted true, for encoding constants."""
-        if self._true_lit == 0:
-            self._true_lit = self.fresh_var()
-            self.add_clause([self._true_lit])
-        return self._true_lit
 
     def _value(self, lit: int) -> int:
         a = self.assign[abs(lit)]
@@ -421,41 +417,3 @@ class Solver:
             lines.append(" ".join(str(l) for l in clause) + " 0")
         return "\n".join(lines) + "\n"
 
-
-# ----------------------------------------------------------------------
-# NNF to CNF
-
-def encode_nnf(solver: Solver, arena: Arena, node: int,
-               var_map: dict[int, int], negate: bool = False) -> int:
-    """Encode an NNF subformula one-sidedly; the returned literal implies it.
-
-    `var_map` maps formula variables to solver variables and is extended on
-    demand. The walk and its memo are keyed by structural class
-    (`arena.canon`), so a node gets one gate however many parents it has,
-    and structurally equal nodes share it.
-    """
-    kinds, payload, canon = arena.kinds, arena.payload, arena.canon
-    gate_of: dict[int, int] = {}  # class id -> literal
-    for n in class_postorder(arena, node):
-        kind = kinds[n]
-        if kind == LIT:
-            lit = -payload[n] if negate else payload[n]
-            v = abs(lit)
-            mapped = var_map.get(v)
-            if mapped is None:
-                mapped = solver.fresh_var()
-                var_map[v] = mapped
-            out = mapped if lit > 0 else -mapped
-        elif kind in (TRUE, FALSE):
-            t = solver.true_lit()
-            out = t if (kind == TRUE) != negate else -t
-        else:
-            child_lits = [gate_of[canon[c]] for c in payload[n]]
-            out = solver.fresh_var()
-            if (kind == AND) != negate:
-                for cl in child_lits:
-                    solver.add_clause([-out, cl])
-            else:
-                solver.add_clause([-out] + child_lits)
-        gate_of[canon[n]] = out
-    return gate_of[canon[node]]

@@ -26,8 +26,9 @@ import time
 from dataclasses import dataclass, field
 
 from .abstraction import ScopeAbstraction, compute_influence
-from .formula import InternalError, QbfProblem, Quantifier, node_vars
-from .sat import Solver, encode_nnf
+from .aiger import FALSE_LIT, TRUE_LIT, Circuit, encode_formula
+from .formula import InternalError, QbfProblem, Quantifier
+from .sat import Solver
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,6 @@ class SolveStats:
         return sum(self.sat_queries)
 
 
-def _constant_result(problem: QbfProblem, t0: float):
-    const = problem.matrix_constant()
-    if const is None:
-        return None
-    stats = SolveStats([0] * problem.scope_count, [0] * problem.scope_count,
-                       time.perf_counter() - t0)
-    return const, stats
-
-
 def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     """Solve via interface abstractions.
 
@@ -95,12 +87,13 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     """
     config = config or SolveConfig()
     t0 = time.perf_counter()
-    constant = _constant_result(problem, t0)
-    if constant is not None:
-        return constant[0], ProofTrace(), constant[1]
     trace = ProofTrace()
     nblocks = problem.scope_count
     stats = SolveStats([0] * nblocks, [0] * nblocks)
+    constant = problem.matrix_constant()
+    if constant is not None:
+        stats.wall_time = time.perf_counter() - t0
+        return constant, trace, stats
     influence = compute_influence(problem)
     innermost_used = influence.max_scope[problem.matrix]
     blocks: dict[int, ScopeAbstraction] = {}
@@ -179,33 +172,37 @@ def solve_assignment(problem: QbfProblem):
     Returns ``(value, stats)``; this algorithm produces no proof trace.
     """
     t0 = time.perf_counter()
-    constant = _constant_result(problem, t0)
-    if constant is not None:
-        return constant
     nblocks = problem.scope_count
     stats = SolveStats([0] * nblocks, [0] * nblocks)
-    arena = problem.arena
+    # the matrix as an and-inverter graph, one input per prefix variable;
+    # the graph folds constants and tautologies such as v | -v as it is
+    # built, and a root that folds to a constant is the verdict
+    circuit = Circuit()
+    input_lit = {v: circuit.add_input(str(v)) for v in problem.all_vars()}
+    root = encode_formula(circuit, problem.arena, problem.matrix, input_lit,
+                          {})
+    if root in (FALSE_LIT, TRUE_LIT):
+        stats.wall_time = time.perf_counter() - t0
+        return root == TRUE_LIT, stats
 
-    # every solver numbers the variables the matrix reads alike, in prefix
-    # order, so outer assignments can be assumed directly; an unread variable
-    # is in no clause, so it gets no number and no value. Each block encodes
-    # what its owner must achieve, the challenger what the innermost block's
-    # opponent must
-    read = node_vars(arena, problem.matrix)
-    var_of = [0, *(v for v in problem.all_vars() if v in read)]
-    var_map = {v: sv for sv, v in enumerate(var_of) if sv}
-
-    def new_solver(negate: bool) -> Solver:
+    # Every solver encodes the root's cone alike, its inputs first in prefix
+    # order, so outer assignments can be assumed directly; a variable outside
+    # the cone is in no clause, so it gets no number and no value. Each block
+    # asserts the root as its owner needs it, the challenger (last) as the
+    # innermost block's opponent does.
+    owners = [scope.quantifier for scope in problem.prefix]
+    owners.append(owners[-1].complement)
+    solvers = []
+    for owner in owners:
         solver = Solver()
-        for _ in var_map:
-            solver.fresh_var()
-        solver.add_clause([encode_nnf(solver, arena, problem.matrix, var_map,
-                                      negate=negate)])
-        return solver
-
-    solvers = [new_solver(scope.quantifier is Quantifier.FORALL)
-               for scope in problem.prefix]
-    challenger = new_solver(problem.prefix[-1].quantifier is Quantifier.EXISTS)
+        sat_var = circuit.to_cnf(solver, root)
+        top = -sat_var[root // 2] if root & 1 else sat_var[root // 2]
+        solver.add_clause([top if owner is Quantifier.EXISTS else -top])
+        solvers.append(solver)
+    challenger = solvers.pop()
+    var_map = {v: sat_var[lit // 2] for v, lit in input_lit.items()
+               if lit // 2 in sat_var}
+    var_of = {sv: v for v, sv in var_map.items()}
 
     def assumption_lits(values: dict) -> list[int]:
         return [var_map[v] if val else -var_map[v]

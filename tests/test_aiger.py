@@ -6,8 +6,10 @@ import random
 import pytest
 
 from qbfkit.aiger import (FALSE_LIT, TRUE_LIT, Circuit, TwoLevelCircuit,
-                          negate, read_aiger, write_aiger)
+                          encode_formula, negate, read_aiger, write_aiger)
+from qbfkit.formula import AND, OR, Arena, evaluate, subformulas
 from qbfkit.parsing import ParseError
+from qbfkit.sat import Solver
 
 
 def test_and_simplifications():
@@ -137,6 +139,136 @@ def test_cone_inputs():
     assert c.cone_inputs(g) == {"a", "b"}
     assert c.cone_inputs(a) == {"a"}
     assert c.cone_inputs(TRUE_LIT) == set()
+
+
+def test_to_cnf_numbers_the_cone_in_ascending_order():
+    # inputs and gates outside the cone get no SAT variable; each gate in
+    # it gets three clauses, the literal itself none
+    c = Circuit()
+    a, b, unused, d = (c.add_input(name) for name in "abud")
+    g = c.and_(a, negate(b))
+    c.and_(unused, a)
+    h = c.and_(negate(g), d)
+    s = Solver()
+    assert c.to_cnf(s, negate(h)) == {1: 1, 2: 2, 4: 3, 5: 4, 7: 5}
+    assert s.db == [(-4, 1), (-4, -2), (4, -1, 2),
+                    (-5, 3), (-5, -4), (5, -3, 4)]
+
+
+# ----------------------------------------------------------------------
+# NNF through the graph into CNF
+
+
+def random_nnf(rng, arena, nvars, budget):
+    if budget <= 1 or rng.random() < 0.3:
+        v = rng.randint(1, nvars)
+        return arena.lit(v if rng.random() < 0.5 else -v)
+    op = "and" if rng.random() < 0.5 else "or"
+    n = rng.randint(2, 3)
+    kids = [random_nnf(rng, arena, nvars, budget // n) for _ in range(n)]
+    return arena.build(op, kids)
+
+
+def encoded_agrees_with_evaluate(arena, node, nvars, negated):
+    """Encode `node` over variables 1..nvars and assert its root, negated if
+    asked, as a unit clause: each assignment of the inputs in the root's
+    cone must then be satisfiable exactly when `evaluate` agrees."""
+    circuit = Circuit()
+    var_lit = {v: circuit.add_input(f"x{v}") for v in range(1, nvars + 1)}
+    root = encode_formula(circuit, arena, node, var_lit, {})
+    if negated:
+        root = negate(root)
+    s = Solver()
+    sat_var = {}
+    if root not in (FALSE_LIT, TRUE_LIT):
+        sat_var = circuit.to_cnf(s, root)
+        top = sat_var[root // 2]
+        s.add_clause([-top if root & 1 else top])
+    for bits in itertools.product((0, 1), repeat=nvars):
+        values = dict(zip(range(1, nvars + 1), bits))
+        want = evaluate(arena, node, values) != negated
+        if root in (FALSE_LIT, TRUE_LIT):
+            assert want == (root == TRUE_LIT)
+            continue
+        assumps = [sat_var[lit // 2] if values[v] else -sat_var[lit // 2]
+                   for v, lit in var_lit.items() if lit // 2 in sat_var]
+        assert s.solve(assumps).sat == want
+
+
+def test_encode_formula_examples():
+    arena = Arena()
+    x, y = arena.lit(1), arena.lit(2)
+    f = arena.build("or", [arena.build("and", [arena.lit(-1), y]), x])
+    encoded_agrees_with_evaluate(arena, f, 2, negated=False)
+    encoded_agrees_with_evaluate(arena, f, 2, negated=True)
+
+
+def test_encode_formula_random(seed=3):
+    rng = random.Random(seed)
+    for _ in range(40):
+        arena = Arena()
+        nvars = rng.randint(1, 5)
+        node = random_nnf(rng, arena, nvars, rng.randint(2, 12))
+        encoded_agrees_with_evaluate(arena, node, nvars, negated=False)
+        encoded_agrees_with_evaluate(arena, node, nvars, negated=True)
+
+
+def test_encode_formula_allocates_one_gate_per_class():
+    # two separately built copies of (a | b) & c; `build` keeps one child per
+    # class, so `or` over both copies directly would hold one, and each copy
+    # is joined under its own disjunction instead
+    arena = Arena()
+
+    def copy():
+        ab = arena.build(OR, [arena.lit(1), arena.lit(2)])
+        return arena.build(AND, [ab, arena.lit(3)])
+
+    first, second = copy(), copy()
+    assert first != second and arena.canon[first] == arena.canon[second]
+    root = arena.build(AND, [arena.build(OR, [first, arena.lit(4)]),
+                             arena.build(OR, [second, arena.lit(5)])])
+    nodes = subformulas(arena, root)
+    gates = [n for n in nodes if arena.kinds[n] in (AND, OR)]
+    assert len(gates) == 7
+    # (a | b), its conjunction with c, the two disjunctions and the root
+    assert len({arena.canon[n] for n in gates}) == 5
+
+    class Counting(Circuit):
+        calls = 0
+
+        def and_(self, a, b):
+            self.calls += 1
+            return super().and_(a, b)
+
+    circuit = Counting()
+    var_lit = {v: circuit.add_input(f"x{v}") for v in range(1, 6)}
+    lit = encode_formula(circuit, arena, root, var_lit, {})
+    assert circuit.calls == 2 * 5  # two binary joins per class, not per node
+    assert len(circuit.gates) == 5
+    s = Solver()
+    circuit.to_cnf(s, lit)
+    assert s.nvars == 5 + 5  # gates plus the variables a..e
+    assert len(s.db) == 3 * 5
+    encoded_agrees_with_evaluate(arena, root, 5, negated=False)
+    encoded_agrees_with_evaluate(arena, root, 5, negated=True)
+
+
+def test_encode_formula_substitution():
+    # a variable mapped to a constant literal is substituted by it
+    arena = Arena()
+    f = arena.build(AND, [arena.lit(-1), arena.lit(2)])
+    circuit = Circuit()
+    y = circuit.add_input("y")
+    assert encode_formula(circuit, arena, f, {1: TRUE_LIT, 2: y},
+                          {}) == FALSE_LIT
+    root = encode_formula(circuit, arena, f, {1: FALSE_LIT, 2: y}, {})
+    assert root == y
+    s = Solver()
+    sat_var = circuit.to_cnf(s, root)
+    s.add_clause([sat_var[root // 2]])
+    res = s.solve()
+    assert res.sat
+    assert res.model[sat_var[y // 2]] == 1
 
 
 def test_golden_inverter_serialization():

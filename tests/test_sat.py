@@ -1,12 +1,11 @@
-"""Tests for the CDCL solver: models, cores, incrementality, NNF encoding."""
+"""Tests for the CDCL solver: models, cores, incrementality."""
 
 import random
 
 import pytest
 
 from qbfkit import sat
-from qbfkit.formula import AND, OR, Arena, evaluate, subformulas
-from qbfkit.sat import Solver, SolveResult, encode_nnf
+from qbfkit.sat import Solver, SolveResult
 
 
 def new_solver(nvars, clauses=()):
@@ -212,129 +211,6 @@ def test_determinism():
         return outcomes
 
     assert run() == run()
-
-
-# ----------------------------------------------------------------------
-# NNF encoding
-
-
-def random_nnf(rng, arena, nvars, budget):
-    if budget <= 1 or rng.random() < 0.3:
-        v = rng.randint(1, nvars)
-        return arena.lit(v if rng.random() < 0.5 else -v)
-    op = "and" if rng.random() < 0.5 else "or"
-    n = rng.randint(2, 3)
-    kids = [random_nnf(rng, arena, nvars, budget // n) for _ in range(n)]
-    return arena.build(op, kids)
-
-
-def encoded_agrees_with_evaluate(arena, node, nvars, negate):
-    s = Solver()
-    var_map = {}
-    root = encode_nnf(s, arena, node, var_map, negate=negate)
-    for v in range(1, nvars + 1):
-        var_map.setdefault(v, s.fresh_var())
-    for bits in range(2 ** nvars):
-        values = {v: (bits >> (v - 1)) & 1 for v in range(1, nvars + 1)}
-        want = evaluate(arena, node, values)
-        if negate:
-            want = 1 - want
-        assumps = [root] + [var_map[v] if values[v] else -var_map[v]
-                            for v in range(1, nvars + 1)]
-        assert s.solve(assumps).sat == bool(want)
-
-
-def test_encode_nnf_examples():
-    arena = Arena()
-    x, y = arena.lit(1), arena.lit(2)
-    f = arena.build("or", [arena.build("and", [arena.lit(-1), y]), x])
-    encoded_agrees_with_evaluate(arena, f, 2, negate=False)
-    encoded_agrees_with_evaluate(arena, f, 2, negate=True)
-
-
-def test_encode_nnf_constants():
-    arena = Arena()
-    s = Solver()
-    t = encode_nnf(s, arena, arena.const(True), {})
-    f = encode_nnf(s, arena, arena.const(False), {})
-    assert s.solve([t]).sat
-    assert not s.solve([f]).sat
-    assert not s.solve([-t]).sat
-
-
-def test_encode_nnf_random(seed=3):
-    rng = random.Random(seed)
-    for _ in range(40):
-        arena = Arena()
-        nvars = rng.randint(1, 5)
-        node = random_nnf(rng, arena, nvars, rng.randint(2, 12))
-        encoded_agrees_with_evaluate(arena, node, nvars,
-                                     negate=rng.random() < 0.5)
-
-
-def test_encode_nnf_numbering_golden():
-    # Gate variables and clauses follow the order in which a depth-first
-    # walk finishes nodes (children in payload order), not ascending ids:
-    # `shared` is created first but finishes inside `right`, and `right`
-    # finishes before `left`. The numbering decides later SAT search.
-    arena = Arena()
-    shared = arena.build(OR, [arena.lit(2), arena.lit(-3)])
-    left = arena.build(AND, [arena.lit(1), shared])
-    right = arena.build(AND, [shared, arena.lit(4), arena.lit(-1)])
-    root = arena.build(OR, [right, left])
-    s = Solver()
-    var_map = {}
-    lits = [encode_nnf(s, arena, root, var_map),
-            encode_nnf(s, arena, root, var_map, negate=True),
-            encode_nnf(s, arena, arena.const(True), var_map),
-            encode_nnf(s, arena, arena.const(False), var_map, negate=True)]
-    assert lits == [8, 12, 13, 13]
-    assert var_map == {2: 1, 3: 2, 4: 4, 1: 5}
-    assert s.db == [(-3, 1, -2), (-6, 3), (-6, 4), (-6, -5), (-7, 5), (-7, 3),
-                    (-8, 6, 7), (-9, -1), (-9, 2), (-10, 9, -4, 5),
-                    (-11, -5, 9), (-12, 10), (-12, 11), (13,)]
-
-
-def test_encode_nnf_allocates_one_gate_per_class():
-    # two separately built copies of (a | b) & c; `build` keeps one child per
-    # class, so `or` over both copies directly would hold one, and each copy
-    # is joined under its own disjunction instead
-    arena = Arena()
-
-    def copy():
-        ab = arena.build(OR, [arena.lit(1), arena.lit(2)])
-        return arena.build(AND, [ab, arena.lit(3)])
-
-    first, second = copy(), copy()
-    assert first != second and arena.canon[first] == arena.canon[second]
-    root = arena.build(AND, [arena.build(OR, [first, arena.lit(4)]),
-                             arena.build(OR, [second, arena.lit(5)])])
-    nodes = subformulas(arena, root)
-    gates = [n for n in nodes if arena.kinds[n] in (AND, OR)]
-    assert len(gates) == 7
-    s = Solver()
-    encode_nnf(s, arena, root, {})
-    # (a | b), its conjunction with c, the two disjunctions and the root
-    assert len({arena.canon[n] for n in gates}) == 5
-    assert s.nvars == 5 + 5  # gates plus the variables a..e
-    encoded_agrees_with_evaluate(arena, root, 5, negate=False)
-    encoded_agrees_with_evaluate(arena, root, 5, negate=True)
-
-
-def test_encode_nnf_substitution():
-    # presetting a variable to a solver literal substitutes it
-    arena = Arena()
-    f = arena.build("and", [arena.lit(1), arena.lit(2)])
-    s = Solver()
-    y = s.fresh_var()
-    var_map = {1: -s.true_lit()}  # variable 1 is constant false
-    root = encode_nnf(s, arena, f, var_map)
-    assert not s.solve([root]).sat
-    var_map = {1: s.true_lit()}
-    root = encode_nnf(s, arena, f, var_map)
-    res = s.solve([root])
-    assert res.sat
-    assert res.model[var_map[2]] == 1
 
 
 def test_to_dimacs_lists_every_clause():

@@ -10,8 +10,8 @@ import pytest
 from qbfkit.aiger import write_aiger
 from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
 from qbfkit.certify import build_certificate
-from qbfkit.formula import (OR, Arena, InternalError, QbfProblem, Quantifier,
-                            Scope)
+from qbfkit.formula import (AND, OR, Arena, InternalError, QbfProblem,
+                            Quantifier, Scope)
 from qbfkit.parsing import parse_qcir, parse_qdimacs
 from qbfkit.preprocess import preprocess
 from qbfkit.sat import Solver
@@ -188,7 +188,7 @@ def test_end_to_end_golden():
             for family in golden_families()] == [
         "9e18dc325f322084c63cc2b5c30bd53ffa60774b9fa0d7653766762e0bd83268",
         "66ece71ffd80ee31430d39498f5a42011e3cd8acfac00b0bf6621318ada4d007",
-        "0c307b4df96c21206e70d2a53060a380cdbc3fbeaf386f9a4c766caf41f29db2",
+        "e65a8e89966fb376cf4926edb429364312993dbb5e6b0fc7eba3c403708095d9",
     ]
 
 
@@ -280,6 +280,26 @@ def test_assignment_solvers_number_only_the_variables_the_matrix_reads(
     assert value is True
     assert calls <= 10_000
     assert (sum(stats.sat_queries), sum(stats.refinements)) == (1652, 550)
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_assignment_solver_folds_tautological_conjuncts(n):
+    # alternating one-variable blocks under the unpreprocessed matrix
+    # and(v | -v for v < n - 1, x_{n-1} | x_n): the matrix's graph folds
+    # each v | -v to true, so only the last two blocks play. Encoded clause
+    # by clause, each negated tautology was falsified through its
+    # variable's assumption, and the queries doubled with every two blocks
+    # (383 at n = 14, 3,071 at n = 20)
+    arena = Arena()
+    conjuncts = [arena.build(OR, [arena.lit(v), arena.lit(-v)])
+                 for v in range(1, n - 1)]
+    conjuncts.append(arena.build(OR, [arena.lit(n - 1), arena.lit(n)]))
+    prefix = [Scope(Quantifier.EXISTS if v % 2 else Quantifier.FORALL, (v,))
+              for v in range(1, n + 1)]
+    problem = QbfProblem.make(arena, prefix, arena.build(AND, conjuncts))
+    value, stats = solve_assignment(problem)
+    assert value is True
+    assert stats.total_iterations <= 2 * n
 
 
 def test_solve_dispatches_by_algorithm_name():
