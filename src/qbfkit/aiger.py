@@ -6,6 +6,13 @@ literal ``2 * (i + 1)``, and-gates follow the inputs, and negation toggles
 the low bit. The symbol table names every input and output after a problem
 variable, and a trailing comment section records which kind of strategy the
 circuit carries.
+
+`Circuit.and_` hashes gates structurally and folds constants. It also
+keeps one gate triple per XOR: ``-(p & q) & -(-p & -q)`` is ``p ^ q``,
+so the QCIR reader's two spellings of an XOR and of its complement become
+one literal and its negation. A rule that returns an earlier literal leaves
+the operand gates the caller built for it unused; `Circuit.sweep` drops
+them.
 """
 
 from __future__ import annotations
@@ -23,13 +30,20 @@ def negate(lit: int) -> int:
 
 
 class Circuit:
-    """A combinational and-inverter graph built bottom-up."""
+    """A combinational and-inverter graph built bottom-up.
+
+    `and_` folds constants and hashes gates and XORs structurally: it keys
+    ``p ^ q`` by the variables of p and q and the parity of their signs, so
+    a later spelling of an XOR or of its complement returns the first
+    spelling's literal, negated when the parities differ.
+    """
 
     def __init__(self):
         self.inputs: list[str] = []
         self._input_lit: dict[str, int] = {}
         self._gates: list[tuple[int, int]] = []  # operand pair per gate
         self._cache: dict[tuple[int, int], int] = {}
+        self._xors: dict[tuple[int, int], int] = {}  # (P, Q) -> lit of P ^ Q
         self.outputs: list[tuple[str, int]] = []
         self.kind: str | None = None
 
@@ -59,8 +73,17 @@ class Circuit:
         cached = self._cache.get((a, b))
         if cached is not None:
             return cached
-        lit = 2 * (len(self.inputs) + len(self._gates) + 1)
-        self._gates.append((a, b))
+        gates, first = self._gates, len(self.inputs) + 1
+        lit = 2 * (first + len(gates))
+        if a & b & 1 and a // 2 >= first:  # -(p & q) & -(-p & -q) = p ^ q
+            p, q = gates[a // 2 - first]
+            if gates[b // 2 - first] == (p ^ 1, q ^ 1):
+                xor, parity = (p & ~1, q & ~1), (p ^ q) & 1
+                known = self._xors.get(xor)
+                if known is not None:
+                    return known ^ parity
+                self._xors[xor] = lit ^ parity
+        gates.append((a, b))
         self._cache[(a, b)] = lit
         return lit
 
@@ -92,6 +115,38 @@ class Circuit:
         first = len(self.inputs) + 1
         return [(2 * (first + i), a, b)
                 for i, (a, b) in enumerate(self._gates)]
+
+    def sweep(self) -> Circuit:
+        """This circuit without the gates no output reads.
+
+        One pass from the last gate back marks the live ones; they are
+        rebuilt in order into a new circuit with the same inputs, outputs
+        and kind. A circuit with no dead gate is returned as it is.
+        """
+        if not self._gates:
+            return self
+        first = len(self.inputs) + 1
+        live = [False] * (first + len(self._gates))
+        for _, lit in self.outputs:
+            live[lit // 2] = True
+        for v in range(len(live) - 1, first - 1, -1):
+            if live[v]:
+                a, b = self._gates[v - first]
+                live[a // 2] = live[b // 2] = True
+        if all(live[first:]):
+            return self
+        swept = Circuit()
+        lit_of = [FALSE_LIT] + [swept.add_input(name) for name in self.inputs]
+
+        def moved(lit: int) -> int:
+            return lit_of[lit // 2] ^ (lit & 1)
+
+        for v, (a, b) in enumerate(self._gates, start=first):
+            lit_of.append(swept.and_(moved(a), moved(b)) if live[v]
+                          else FALSE_LIT)
+        swept.outputs = [(name, moved(lit)) for name, lit in self.outputs]
+        swept.kind = self.kind
+        return swept
 
     # ------------------------------------------------------------------
     # semantics
@@ -198,9 +253,8 @@ class TwoLevelCircuit(Circuit):
     the graph never grows. Substitution swaps an operand for one of its
     operands, which is defined before it, so rewriting the pair in a loop
     ends after at most as many steps as the operands are deep. A rule can
-    leave a gate built earlier without a user, which in a certificate is a
-    dead gate, so certificates stay plain `Circuit`s and only the checker's
-    miter uses this class.
+    leave a gate built earlier without a user. Only the checker's miter uses
+    this class; certificates are plain `Circuit`s, swept of dead gates.
     """
 
     def and_(self, a: int, b: int) -> int:

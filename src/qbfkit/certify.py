@@ -31,8 +31,11 @@ contradiction, idempotence, subsumption and substitution), which see through
 one gate to its operands. A function that excludes its partner, as a
 Herbrand ``u = -e & ...`` does, then folds ``e & u`` to false, and the
 matrix parts it decides fold to what remains. Certificates are built
-without the rules: a rule can leave an operand gate unused, which in a
-certificate would be a dead gate.
+without those rules. Both graphs keep one gate triple per XOR
+(`aiger.Circuit.and_`), so the complement of a parity the matrix spells
+apart is the negation of one literal. The XOR rule can leave gates the
+caller built for it unused, so a certificate is returned swept of them
+(`aiger.Circuit.sweep`) and holds no dead gate.
 
 Both steps encode matrix subformulas with `aiger.encode_formula`, the one
 NNF encoder, which the assignment solver shares; the check hands the goal's
@@ -72,7 +75,7 @@ def condition_formula(problem: QbfProblem, node: int,
     _check_interface(influence, node, scope_index)
     condition = _grant_conditions(circuit, problem, influence, var_lit)
     circuit.add_output("condition", condition(node, scope_index))
-    return circuit
+    return circuit.sweep()
 
 
 def _check_interface(influence: InfluenceMap, node: int, k: int) -> None:
@@ -169,7 +172,7 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
             if lit is None:
                 lit = TRUE_LIT if eliminated.get(v) else FALSE_LIT
             circuit.add_output(names[v], lit)
-    return circuit
+    return circuit.sweep()
 
 
 @dataclass(frozen=True)
@@ -194,10 +197,10 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
     each function output in place of its variable, are built into one
     circuit. The goal - the negated matrix (Skolem) or the matrix
     (Herbrand) - must be unsatisfiable. The certificate's gates are
-    rebuilt, not copied: the miter folds constants, hashes gates
+    rebuilt, not copied: the miter folds constants, hashes gates and XORs
     structurally and applies the two-level rules of `aiger.TwoLevelCircuit`,
-    each of which holds for any operands. Only the miter uses the rules,
-    since in a certificate the gates they leave unused would be dead. A goal
+    each of which holds for any operands. Only the miter uses the two-level
+    rules; certificates are plain `aiger.Circuit`s. A goal
     that folds to a constant is decided at once, any other by one SAT call
     over the goal's cone. An invalid certificate comes with a
     counterexample: values of the opposite-kind variables, in variable

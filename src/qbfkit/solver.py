@@ -174,6 +174,10 @@ def solve_assignment(problem: QbfProblem):
     t0 = time.perf_counter()
     nblocks = problem.scope_count
     stats = SolveStats([0] * nblocks, [0] * nblocks)
+    constant = problem.matrix_constant()
+    if constant is not None:
+        stats.wall_time = time.perf_counter() - t0
+        return constant, stats
     # the matrix as an and-inverter graph, one input per prefix variable;
     # the graph folds constants and tautologies such as v | -v as it is
     # built, and a root that folds to a constant is the verdict

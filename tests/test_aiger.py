@@ -83,6 +83,9 @@ def test_substitution_loops_without_recursion():
 
 
 FULL_TABLE = (1 << 16) - 1
+# 16-row truth tables of 4 inputs, as bit masks indexed by variable
+INPUT_TABLES = [sum(1 << row for row in range(16) if row >> i & 1)
+                for i in range(4)]
 
 
 def lit_table(tables, lit):
@@ -91,14 +94,11 @@ def lit_table(tables, lit):
 
 
 def test_two_level_rules_keep_every_truth_table():
-    # 16-row truth tables over 4 inputs, as bit masks indexed by variable
     rng = random.Random(2006)
-    inputs = [sum(1 << row for row in range(16) if row >> i & 1)
-              for i in range(4)]
     for _ in range(3000):
         c = TwoLevelCircuit()
         lits = [TRUE_LIT] + [c.add_input(f"v{i}") for i in range(4)]
-        tables = [0, *inputs]
+        tables = [0, *INPUT_TABLES]
         for _ in range(12):
             a, b = (negate(lit) if rng.random() < 0.5 else lit
                     for lit in (rng.choice(lits), rng.choice(lits)))
@@ -108,6 +108,86 @@ def test_two_level_rules_keep_every_truth_table():
             assert lit_table(tables, got) == (
                 lit_table(tables, a) & lit_table(tables, b))
             lits.append(got)
+
+
+def test_xor_rule_keeps_every_truth_table():
+    # Plain and_/or_ calls mixed with both spellings of an XOR over inputs,
+    # gates and constants in either polarity: -(p & q) & -(-p & -q), which
+    # is p ^ q, and with q negated its complement. Every result's table is
+    # the AND of its operands'. Where both inner gates are built, a spelling
+    # whose complement another pair of gates spelled before returns the
+    # negation of that literal.
+    rng = random.Random(2002)
+    flipped = 0
+    for _ in range(1500):
+        c = Circuit()
+        lits = [TRUE_LIT] + [c.add_input(f"v{i}") for i in range(4)]
+        tables = [0, *INPUT_TABLES]
+
+        def and_(a, b):
+            got = c.and_(a, b)
+            for _, x, y in c.gates[len(tables) - 5:]:
+                tables.append(lit_table(tables, x) & lit_table(tables, y))
+            assert lit_table(tables, got) == (
+                lit_table(tables, a) & lit_table(tables, b))
+            return got
+
+        spelled = {}  # XOR literal -> the inner gates that first spelled it
+        for _ in range(12):
+            p, q = (negate(lit) if rng.random() < 0.5 else lit
+                    for lit in (rng.choice(lits), rng.choice(lits)))
+            if rng.random() < 0.2:
+                got = and_(p, q)
+            elif rng.random() < 0.25:  # or_
+                got = negate(and_(negate(p), negate(q)))
+            else:
+                inner = [and_(p, q), and_(negate(p), negate(q))]
+                rng.shuffle(inner)
+                got = and_(*(negate(g) for g in inner))
+                key = frozenset(inner)
+                if min(inner) > 9 and not (inner[0] | inner[1]) & 1:
+                    if spelled.get(negate(got), key) != key:
+                        flipped += 1
+                    spelled.setdefault(got, key)
+            lits.append(negate(got) if rng.random() < 0.5 else got)
+    assert flipped > 100, flipped
+
+
+def test_sweep_drops_exactly_the_dead_gates():
+    rng = random.Random(16)
+    kept = swept_some = 0
+    for _ in range(400):
+        c = Circuit()
+        c.kind = "skolem"
+        lits = [TRUE_LIT] + [c.add_input(f"v{i}") for i in range(4)]
+        for _ in range(rng.randint(0, 10)):
+            a, b = (negate(lit) if rng.random() < 0.5 else lit
+                    for lit in (rng.choice(lits), rng.choice(lits)))
+            lits.append(c.and_(a, b))
+        for i in range(rng.randint(0, 3)):
+            c.add_output(f"o{i}", rng.choice(lits) ^ rng.randint(0, 1))
+        live = set()
+        for _, lit in c.outputs:
+            live.update(c.cone(lit))
+        swept = c.sweep()
+        assert (swept.inputs, swept.kind) == (c.inputs, c.kind)
+        assert [name for name, _ in swept.outputs] == [
+            name for name, _ in c.outputs]
+        assert len(swept.gates) == len(live) - len(live & {1, 2, 3, 4})
+        swept_live = set()
+        for _, lit in swept.outputs:
+            swept_live.update(swept.cone(lit))
+        assert all(lhs // 2 in swept_live for lhs, _, _ in swept.gates)
+        for bits in itertools.product((False, True), repeat=4):
+            values = dict(zip(c.inputs, bits))
+            assert swept.evaluate(values) == c.evaluate(values)
+        assert swept.sweep() is swept
+        if len(swept.gates) == len(c.gates):
+            assert swept is c
+            kept += 1
+        else:
+            swept_some += 1
+    assert kept > 60 and swept_some > 200, (kept, swept_some)
 
 
 def test_or_and_many_semantics():

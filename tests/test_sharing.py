@@ -6,11 +6,14 @@ import sys
 import time
 
 from qbfkit.aiger import negate, read_aiger, write_aiger
+from qbfkit.bench import gen_qparity
 from qbfkit.certify import build_certificate, read_trace, verify
-from qbfkit.formula import (AND, LIT, OR, Arena, QbfProblem, class_postorder,
-                            postorder, problems_equal, subformulas)
+from qbfkit.formula import (AND, LIT, OR, Arena, QbfProblem, Scope,
+                            class_postorder, postorder, problems_equal,
+                            subformulas)
 from qbfkit.parsing import parse_qcir, write_qcir
 from qbfkit.preprocess import PreprocessInfo, preprocess
+from qbfkit.sat import Solver
 from qbfkit.solver import solve_abstraction, solve_assignment
 
 import qbfkit.cli as cli
@@ -141,6 +144,42 @@ def test_xor_chain_of_forty_levels_stays_linear():
     assert verify(problem, circuit).valid
     assert time.perf_counter() - start < 2.0
 
+
+def test_each_xor_level_keeps_one_gate_triple(monkeypatch):
+    # Both polarities of an XOR level share one gate triple, in the
+    # certificate and in verify's miter, so certificates stay at three gates
+    # per level and verify's one SAT call ends almost at once. The chained
+    # parity's dual swaps the quantifiers, so it is true and certifies z by
+    # a Skolem function. The counts are exact, not timings.
+    chained = gen_qparity(256, chain=True)
+    dual = QbfProblem.make(
+        chained.arena,
+        [Scope(scope.quantifier.complement, scope.vars)
+         for scope in chained.prefix],
+        chained.matrix, chained.var_names)
+    conflicts = []
+    solve = Solver.solve
+
+    def counted(solver, assumptions=()):
+        before = solver.conflicts
+        result = solve(solver, assumptions)
+        conflicts.append(solver.conflicts - before)
+        return result
+
+    for problem, levels, expected in ((parse_qcir(xor_chain(250)), 249, False),
+                                      (chained, 255, False),
+                                      (dual, 255, True)):
+        reduced, info = preprocess(problem)
+        value, trace, _ = solve_abstraction(reduced)
+        assert value is expected
+        circuit = build_certificate(problem, reduced, info.eliminated, trace,
+                                    value)
+        assert len(circuit.gates) <= 3 * levels
+        conflicts.clear()
+        monkeypatch.setattr(Solver, "solve", counted)
+        assert verify(problem, circuit).valid
+        monkeypatch.undo()
+        assert len(conflicts) == 1 and conflicts[0] <= 2, conflicts
 
 
 def test_separately_written_copies_of_a_gate_dag_compare_once_per_pair():

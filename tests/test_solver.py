@@ -197,7 +197,7 @@ def test_certificate_golden():
     # a change to extraction alone moves only this digest.
     assert [end_to_end_digests(family)[1]
             for family in golden_families()] == [
-        "4b71e1e45c304b638ed7636d89ab23e6e88827b79afd4291a2e4f7e800c15d26",
+        "62d82387c0db901732124c15ffed18045ee36e17bf6c439c07990dea87e919f8",
         "25d7ca6b1b0f49188b38f82519d4ae63881ad3444321c63a82084f47e36f1a12",
         "c8aa34720d741405efbd49dbb7f663550d1d144afb964c7e2b48a13cfbfffab0",
     ]
