@@ -498,13 +498,3 @@ class ScopeAbstraction:
         return {sv: f"x {names[key]}" if tag == "var" else f"{tag} n{key}"
                 for sv, (tag, key) in enumerate(
                     zip(self.role_tag[1:], self.role_key[1:]), start=1)}
-
-    def debug_dump(self) -> str:
-        lines = [f"c block {self.scope_index} ({self.quantifier.value})"]
-        for sv, label in sorted(self.legend().items()):
-            lines.append(f"c {sv} = {label}")
-        lines.append("c claim side")
-        lines.append(self.theta.to_dimacs().rstrip())
-        lines.append("c challenger side")
-        lines.append(self.dual.to_dimacs().rstrip())
-        return "\n".join(lines) + "\n"

@@ -127,9 +127,9 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
     """Build the winning side's strategy circuit from a proof trace.
 
     ``trace`` comes from solving ``reduced``, the preprocessed form of
-    ``original``. Inputs and outputs follow the original prefix: a variable
-    preprocessing eliminated becomes a constant output valued per
-    ``eliminated``.
+    ``original``, and its influence map, if it carries one, is reused.
+    Inputs and outputs follow the original prefix: a variable preprocessing
+    eliminated becomes a constant output valued per ``eliminated``.
     """
     func_q = Quantifier.EXISTS if value else Quantifier.FORALL
     names = original.var_names
@@ -139,7 +139,7 @@ def build_certificate(original: QbfProblem, reduced: QbfProblem,
                if original.quantifier_of(v) is not func_q}
 
     if reduced.matrix_constant() is None:
-        influence = compute_influence(reduced)
+        influence = trace.influence or compute_influence(reduced)
         condition = _grant_conditions(circuit, reduced, influence, var_lit)
         pairs_at = trace.by_scope()
         for k, scope in enumerate(reduced.prefix, start=1):

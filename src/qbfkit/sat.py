@@ -409,11 +409,3 @@ class Solver:
                 self._enqueue(-v, None)  # default phase false
         finally:
             self._cancel_until(0)
-
-    def to_dimacs(self) -> str:
-        """The full added-clause database in DIMACS, for external debugging."""
-        lines = [f"p cnf {self.nvars} {len(self.db)}"]
-        for clause in self.db:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-        return "\n".join(lines) + "\n"
-

@@ -1,12 +1,22 @@
 """Game-style solving of prenex NNF problems.
 
-Two algorithms share the same shape: each quantifier block plays rounds
-against the blocks inside it, and a round ends when one side's SAT query
-comes back unsatisfiable. The assumption-literal core of that query tells
-the caller which part of its offer the loss actually relied on, so the
-caller can refine with a single clause instead of enumerating assignments.
-Both keep the blocks that wait on an inner one on an explicit stack, so a
-prefix of any depth solves at Python's default recursion limit.
+Both algorithms play one game, driven by ``_play``: each quantifier block
+plays rounds against the blocks inside it, and a round ends when one side's
+SAT query comes back unsatisfiable. The assumption-literal core of that
+query tells the caller which part of its offer the loss actually relied on,
+so the caller can refine with a single clause instead of enumerating
+assignments. The loop keeps the blocks that wait on an inner one on an
+explicit stack, so a prefix of any depth solves at Python's default
+recursion limit. Each algorithm supplies the four moves of a block k:
+
+- ``play``: query block k against the outer blocks' moves, and on a win
+  descend to block k + 1 or, at the innermost block played, ``confirm``;
+- ``confirm``: refute the round on the challenger side; the core is the
+  witness of the round's outcome;
+- ``carry``: the inner blocks won block k's round; restate their witness
+  for the blocks outside k and hand it outward;
+- ``refine``: the inner blocks lost block k's round; exclude what the loss
+  relied on, and block k plays again.
 
 ``solve_assignment`` plays rounds over full variable assignments - each block
 proposes values for its own variables given the outer ones. It is simple and
@@ -25,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .abstraction import ScopeAbstraction, compute_influence
+from .abstraction import InfluenceMap, ScopeAbstraction, compute_influence
 from .aiger import FALSE_LIT, TRUE_LIT, Circuit, encode_formula
 from .formula import InternalError, QbfProblem, Quantifier
 from .sat import Solver
@@ -47,9 +57,12 @@ class ProofPair:
 
 @dataclass
 class ProofTrace:
-    """Proof pairs in the order the solver confirmed them."""
+    """Proof pairs in the order the solver confirmed them, and the
+    influence map of the problem solved, which certification reuses."""
 
     pairs: list = field(default_factory=list)
+    influence: InfluenceMap | None = field(default=None, repr=False,
+                                           compare=False)
 
     def record(self, pair: ProofPair) -> None:
         self.pairs.append(pair)
@@ -78,6 +91,39 @@ class SolveStats:
         return sum(self.sat_queries)
 
 
+def _play(problem: QbfProblem, innermost: int, play, confirm, carry,
+          refine) -> bool:
+    """Play the game down to block ``innermost``; return whether the
+    existential side wins. ``play(k, outer, descend)`` is ``(True, move,
+    inner)``, or ``(False, witness, None)`` when block k loses."""
+    exists = [scope.quantifier is Quantifier.EXISTS for scope in problem.prefix]
+    # the blocks waiting on an inner one, outermost first, with their rounds
+    waiting: list[tuple[int, object, object]] = []
+    k, outer = 1, {}
+    while True:
+        descend = k < innermost
+        won, move, inner = play(k, outer, descend)
+        if not won:
+            outcome = not exists[k - 1], move
+        elif descend:
+            waiting.append((k, outer, move))
+            k, outer = k + 1, inner
+            continue
+        else:
+            outcome = exists[k - 1], confirm(k, outer, move)
+        # hand the outcome outward until some block refines and plays again
+        while waiting:
+            k, outer, move = waiting.pop()
+            inner_exists_wins, witness = outcome
+            if inner_exists_wins == exists[k - 1]:
+                outcome = exists[k - 1], carry(k, outer, move, witness)
+                continue
+            refine(k, outer, move, witness)
+            break
+        else:
+            return outcome[0]  # no block is left waiting: block 1's outcome
+
+
 def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     """Solve via interface abstractions.
 
@@ -94,13 +140,27 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
     if constant is not None:
         stats.wall_time = time.perf_counter() - t0
         return constant, trace, stats
-    influence = compute_influence(problem)
-    innermost_used = influence.max_scope[problem.matrix]
+    influence = trace.influence = compute_influence(problem)
     blocks: dict[int, ScopeAbstraction] = {}
 
-    def confirm_win(block: ScopeAbstraction, k: int, x_values: dict,
-                    granted: dict) -> dict:
+    def play(k: int, granted: dict, descend: bool):
+        block = blocks.get(k)
+        if block is None:
+            block = blocks[k] = ScopeAbstraction.build(problem, k, influence)
+        stats.sat_queries[k - 1] += 1
+        result = block.theta.solve(block.theta_assumptions(granted))
+        if not result.sat:
+            return False, block.witness_from_core(result.failed, granted), None
+        x_values = block.x_assignment(result.model)
+        if not descend:
+            return True, (x_values, None), None
+        claims = block.exposed_claims(block.maximize_claims(result.model))
+        inner_granted = {n: not claims[n] for n in block.exposed}
+        return True, (x_values, claims), inner_granted
+
+    def confirm(k: int, granted: dict, move) -> dict:
         """Ask the challenger side to refute the round; UNSAT is the proof."""
+        block, (x_values, _) = blocks[k], move
         stats.sat_queries[k - 1] += 1
         result = block.dual.solve(block.dual_assumptions(x_values, granted))
         if result.sat:
@@ -114,54 +174,23 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
                 frozenset(v for v, val in x_values.items() if val)))
         return witness
 
-    # The blocks waiting on an inner one, outermost first, each with the
-    # grants and the round it delegated: an explicit stack, so the depth of
-    # the prefix is not bounded by Python's recursion limit.
-    waiting: list[tuple[int, dict, dict, dict]] = []
-    k, granted = 1, {}
-    while True:
-        block = blocks.get(k)
-        if block is None:
-            block = blocks[k] = ScopeAbstraction.build(problem, k, influence)
-        exists_here = block.quantifier is Quantifier.EXISTS
-        stats.sat_queries[k - 1] += 1
-        result = block.theta.solve(block.theta_assumptions(granted))
-        if not result.sat:
-            outcome = (not exists_here), block.witness_from_core(
-                result.failed, granted)
-        else:
-            x_values = block.x_assignment(result.model)
-            if k < nblocks and k < innermost_used:
-                claims = block.exposed_claims(
-                    block.maximize_claims(result.model))
-                waiting.append((k, granted, x_values, claims))
-                k, granted = k + 1, {n: not claims[n] for n in block.exposed}
-                continue
-            outcome = exists_here, confirm_win(block, k, x_values, granted)
-        # hand the outcome outward until some block refines and plays again
-        while waiting:
-            k, granted, x_values, claims = waiting.pop()
-            block = blocks[k]
-            exists_here = block.quantifier is Quantifier.EXISTS
-            inner_exists_wins, inner_witness = outcome
-            if inner_exists_wins == exists_here:
-                # the delegation worked out; teach the challenger side the
-                # inner outcome, then confirm the whole round on it
-                block.refine_dual(inner_witness)
-                outcome = exists_here, confirm_win(block, k, x_values, granted)
-                continue
-            relied = sorted(n for n, v in inner_witness.items() if v)
-            if any(claims[n] for n in relied):
-                raise InternalError(
-                    f"refinement at block {k} would not make progress")
-            block.refine(relied)
-            break
-        else:
-            break  # no block is left waiting: the outcome is block 1's
+    def carry(k: int, granted: dict, move, witness: dict) -> dict:
+        # the delegation worked out; teach the challenger side the inner
+        # outcome, then confirm the whole round on it
+        blocks[k].refine_dual(witness)
+        return confirm(k, granted, move)
 
-    value = outcome[0]
-    for k, block in blocks.items():
-        stats.refinements[k - 1] = block.refinement_count
+    def refine(k: int, granted: dict, move, witness: dict) -> None:
+        _, claims = move
+        relied = sorted(n for n, v in witness.items() if v)
+        if any(claims[n] for n in relied):
+            raise InternalError(
+                f"refinement at block {k} would not make progress")
+        blocks[k].refine(relied)
+        stats.refinements[k - 1] += 1
+
+    value = _play(problem, min(nblocks, influence.max_scope[problem.matrix]),
+                  play, confirm, carry, refine)
     stats.wall_time = time.perf_counter() - t0
     return value, trace, stats
 
@@ -215,51 +244,35 @@ def solve_assignment(problem: QbfProblem):
     def core_witness(core, values: dict) -> dict:
         return {var_of[abs(lit)]: values[var_of[abs(lit)]] for lit in core}
 
-    # the blocks waiting on an inner one, each with its outer assignment; a
-    # block's outcome names only variables of the blocks outside it
-    waiting: list[tuple[int, dict]] = []
-    k, alpha = 1, {}
-    while True:
-        scope = problem.prefix[k - 1]
-        exists_here = scope.quantifier is Quantifier.EXISTS
+    # a block plays its variables on top of the outer assignment alpha; its
+    # outcome names only variables of the blocks outside it
+    def play(k: int, alpha: dict, descend: bool):
         stats.sat_queries[k - 1] += 1
         result = solvers[k - 1].solve(assumption_lits(alpha))
         if not result.sat:
-            outcome = (not exists_here), core_witness(result.failed, alpha)
-        else:
-            beta = dict(alpha)
-            for v in scope.vars:
-                if v in var_map:
-                    beta[v] = bool(result.model[var_map[v]])
-            if k < nblocks:
-                waiting.append((k, alpha))
-                k, alpha = k + 1, beta
-                continue
-            stats.sat_queries[k - 1] += 1
-            refute = challenger.solve(assumption_lits(beta))
-            if refute.sat:
-                raise InternalError("matrix and its negation both satisfied")
-            witness = core_witness(refute.failed, beta)
-            outcome = exists_here, {v: b for v, b in witness.items()
-                                    if v in alpha}
-        # hand the outcome outward until some block refines and plays again
-        while waiting:
-            k, alpha = waiting.pop()
-            exists_here = problem.prefix[k - 1].quantifier is Quantifier.EXISTS
-            inner_exists_wins, inner_witness = outcome
-            if inner_exists_wins == exists_here:
-                outcome = exists_here, {v: b for v, b in inner_witness.items()
-                                        if v in alpha}
-                continue
-            solvers[k - 1].add_clause(
-                [-var_map[v] if b else var_map[v]
-                 for v, b in sorted(inner_witness.items())])
-            stats.refinements[k - 1] += 1
-            break
-        else:
-            break  # no block is left waiting: the outcome is block 1's
+            return False, core_witness(result.failed, alpha), None
+        beta = dict(alpha)
+        for v in problem.prefix[k - 1].vars:
+            if v in var_map:
+                beta[v] = bool(result.model[var_map[v]])
+        return True, beta, beta
 
-    value = outcome[0]
+    def confirm(k: int, alpha: dict, beta: dict) -> dict:
+        stats.sat_queries[k - 1] += 1
+        refute = challenger.solve(assumption_lits(beta))
+        if refute.sat:
+            raise InternalError("matrix and its negation both satisfied")
+        return carry(k, alpha, beta, core_witness(refute.failed, beta))
+
+    def carry(k: int, alpha: dict, beta: dict, witness: dict) -> dict:
+        return {v: b for v, b in witness.items() if v in alpha}
+
+    def refine(k: int, alpha: dict, beta: dict, witness: dict) -> None:
+        solvers[k - 1].add_clause([-var_map[v] if b else var_map[v]
+                                   for v, b in sorted(witness.items())])
+        stats.refinements[k - 1] += 1
+
+    value = _play(problem, nblocks, play, confirm, carry, refine)
     stats.wall_time = time.perf_counter() - t0
     return value, stats
 

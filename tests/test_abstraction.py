@@ -345,15 +345,6 @@ def test_constant_matrix_has_no_influence():
         compute_influence(problem)
 
 
-def test_debug_dump_mentions_every_variable():
-    problem, psi1, psi2 = example_problem()
-    block = ScopeAbstraction.build(problem, 2)
-    dump = block.debug_dump()
-    assert "x y" in dump
-    assert f"outer n{psi1}" in dump
-    assert "p cnf" in dump
-
-
 def numbering_digest(problems):
     """SHA-256 over the clauses, legend and interfaces of every block the
     solver can build, with the SAT numbering exactly as allocated."""

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from qbfkit.abstraction import compute_influence
-from qbfkit import certify
+from qbfkit import abstraction, certify
+from qbfkit import solver as solver_module
 from qbfkit.aiger import (TRUE_LIT, Circuit, TwoLevelCircuit, negate,
                           read_aiger, write_aiger)
 from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
@@ -728,6 +729,30 @@ def test_certificates_have_no_dead_gates():
                                 value)
     assert len(circuit.gates) == 380
     assert dead_gates(circuit) == []
+
+
+def test_certify_reuses_the_solves_influence_map(monkeypatch):
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return compute_influence(problem)
+
+    for module in (abstraction, solver_module, certify):
+        monkeypatch.setattr(module, "compute_influence", counted)
+    problem = gen_expansion_hard(8)
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    circuit = build_certificate(problem, reduced, info.eliminated, trace,
+                                value)
+    assert len(calls) == 1
+    assert verify(problem, circuit).valid
+    # a trace read back from text carries no map, so certify computes one
+    text = write_trace(reduced, trace)
+    again = build_certificate(problem, reduced, info.eliminated,
+                              read_trace(text), value)
+    assert len(calls) == 2
+    assert write_aiger(again) == write_aiger(circuit)
 
 
 def test_extraction_rejects_a_trace_naming_an_unknown_node():

@@ -213,15 +213,6 @@ def test_determinism():
     assert run() == run()
 
 
-def test_to_dimacs_lists_every_clause():
-    s = new_solver(3, [[1, -2], [2, 3], [1]])
-    text = s.to_dimacs()
-    lines = text.strip().splitlines()
-    assert lines[0] == "p cnf 3 3"
-    assert "1 -2 0" in lines
-    assert len(lines) == 4
-
-
 # ----------------------------------------------------------------------
 # chronological backtracking
 

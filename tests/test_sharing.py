@@ -55,9 +55,10 @@ def random_shared_qcir(rng):
         order = order[take:]
     gates = []
     for i in range(rng.randint(1, 10)):
-        op = rng.choice(("and", "or", "xor"))
+        op = rng.choice(("and", "or", "xor", "ite"))
+        arity = {"xor": 2, "ite": 3}.get(op) or rng.randint(2, 3)
         args = []
-        for _ in range(2 if op == "xor" else rng.randint(2, 3)):
+        for _ in range(arity):
             if gates and rng.random() < 0.6:
                 source = rng.choice(gates[-3:])[0]
             else:
@@ -81,8 +82,10 @@ def random_shared_qcir(rng):
                 val[name] = all(bits)
             elif op == "or":
                 val[name] = any(bits)
-            else:
+            elif op == "xor":
                 val[name] = bits[0] != bits[1]
+            else:
+                val[name] = bits[1] if bits[0] else bits[2]
         return val[out] != out_neg
 
     quantified = [(q, v) for q, vs in blocks for v in vs]
