@@ -34,6 +34,21 @@ same argument covers copies that preprocessing merged into one node because
 they are structurally equal: they have equal values under every assignment
 and equal `min_scope` and `max_scope`, so they too would get identical
 constraints.
+
+Two nodes can also be complements without being structurally related: the
+QCIR reader spells a negated `xor` as `(a & b) | (-a & -b)`. With a claim
+each, CDCL would have to prove such a pair complementary, level by level
+along a parity chain. So a block-local node (every leaf decided at one
+block k; the root aside, as a block before it may claim it unconstrained)
+takes the claim of an earlier block-local complement, negated, which
+`compute_influence` finds through an and-inverter graph. That claim is fixed
+by block k's variables: a node decided at k is needed at k, as every parent
+of it is decided or exposed there and names it, and all its children are
+visible, so by induction a true claim literal implies the node's value, and
+the pair reads `claim(m) -> m` and `-claim(m) -> -m`. Two claims do no
+better: only a node's own constraints name its claim negated, so raising a
+block-local claim to the node's value breaks no clause.
+
 Children are created before their parents, so ascending node ids are a
 topological order: `compute_influence` relies on it to see every child
 before its parent, and `maximize_claims` to settle child claims in the one
@@ -87,6 +102,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
+from .aiger import FALSE_LIT, TRUE_LIT, Circuit, encode_formula, negate
 from .formula import (AND, LIT, OR, InternalError, QbfProblem, Quantifier,
                       subformulas)
 from .sat import Solver
@@ -113,6 +129,9 @@ class InfluenceMap:
     and `inner_until` is the largest `min_scope` of a non-literal root child
     (0 if there is none): at every block before it, some root disjunct is
     decided by inner blocks only. `read` holds the variables the matrix reads.
+    `complement` maps a non-root block-local node (`min_scope ==
+    max_scope`, not a literal) to the first such node of its block whose
+    and-inverter graph literal is its negation, and no partner is a key.
     """
 
     min_scope: dict[int, int]
@@ -124,6 +143,7 @@ class InfluenceMap:
     root_literals: list[tuple[int, int]]
     inner_until: int
     read: frozenset[int]
+    complement: dict[int, int]
 
     def straddles(self, node: int, boundary: int) -> bool:
         return self.min_scope[node] <= boundary < self.max_scope[node]
@@ -195,8 +215,27 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
             inner_until = max(inner_until, mins[c])
         elif not root_literals or maxs[c] > root_literals[-1][0]:
             root_literals.append((maxs[c], i))
+    # the block-local nodes as an and-inverter graph, in which a node's
+    # complement has the negated literal however it is spelled
+    circuit = Circuit()
+    var_lit = {v: circuit.add_input(str(v)) for v in sorted(read)}
+    encoded: dict[int, int] = {}
+    complement: dict[int, int] = {}
+    first: dict[tuple[int, int], int] = {}  # (block, literal) -> node
+    for n in sorted(preorder):
+        if n == root or kinds[n] == LIT or mins[n] != maxs[n]:
+            continue
+        lit = encode_formula(circuit, arena, n, var_lit, encoded)
+        if lit in (FALSE_LIT, TRUE_LIT):
+            continue
+        partner = first.get((mins[n], negate(lit)))
+        if partner is None:
+            first.setdefault((mins[n], lit), n)
+        else:
+            complement[n] = partner
     return InfluenceMap(mins, maxs, tuple(map(tuple, interface)), at, falls,
-                        root_slot, root_literals, inner_until, frozenset(read))
+                        root_slot, root_literals, inner_until, frozenset(read),
+                        complement)
 
 
 class ScopeAbstraction:
@@ -260,7 +299,9 @@ class ScopeAbstraction:
     def _claim_var(self, node: int) -> int:
         sv = self.claim.get(node)
         if sv is None:
-            sv = self._fresh("claim", node)
+            partner = self.influence.complement.get(node)
+            sv = (-self._claim_var(partner) if partner is not None
+                  else self._fresh("claim", node))
             self.claim[node] = sv
         return sv
 
@@ -412,9 +453,12 @@ class ScopeAbstraction:
         """Raise claim variables as far as the claim side's clauses allow.
 
         Works on a copy of a satisfying assignment, in one pass by ascending
-        node id. One pass is enough: a claim occurs negated only in its own
-        constraint clauses and in the root clause, whose other claim
-        literals are claims of lower node ids (children come first), and
+        node id over the claim variables. One pass is enough: a claim that
+        a complementary pair shares is fixed by the block's variables (see
+        the module docstring), though it also occurs negated in the clauses
+        of its complement's parents. Any other claim occurs negated only in
+        its own constraint clauses and in the root clause, whose other claim
+        literals are fixed or of lower node ids (children come first), and
         refinement clauses hold only positive claims. So whether a claim can
         rise depends only on the claims visited before it. The result is
         re-checked to still satisfy every clause.
@@ -428,7 +472,8 @@ class ScopeAbstraction:
                     if lit < 0 and -lit in occ:
                         occ[-lit].append(tuple(l for l in clause if l != lit))
             self._raise_checks = [(sv, occ[sv])
-                                  for _, sv in sorted(self.claim.items())]
+                                  for _, sv in sorted(self.claim.items())
+                                  if sv > 0]
         for sv, rests in self._raise_checks:
             if model[sv]:
                 continue

@@ -8,15 +8,6 @@ sequences reproduce identical models. The decision heap lives as long as the
 solver: each unassigned variable has an entry with its current activity, and
 an outdated entry ranks after it, so it pops once the variable is assigned.
 
-A backjump that would undo more than `CHRONO_THRESHOLD` levels backtracks
-chronologically instead, to one level below the conflict, and the asserting
-literal joins the trail out of order at its assertion level (Nadel and
-Ryvchin, "Chronological Backtracking", SAT 2018; Moehle and Biere, "Backing
-Backtracking", SAT 2019). While such literals are on the trail, an implied
-literal takes the highest level among its reason's other literals, a conflict
-is analysed at the highest level in its clause, and a backtrack keeps the
-literals at or below its target and propagates them again.
-
 The solver knows clauses only. A formula reaches it as an and-inverter
 graph (`aiger.encode_formula`) whose cone `aiger.Circuit.to_cnf` encodes,
 three clauses per gate: so the assignment solver encodes the matrix and the
@@ -31,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 
 _UNDEF = -1
-CHRONO_THRESHOLD = 100  # longest backjump taken non-chronologically, in levels
 
 
 @dataclass(frozen=True)
@@ -59,8 +49,8 @@ class Solver:
     def __init__(self) -> None:
         self.nvars = 0
         self.ok = True
-        # every added clause, in order; read by dumps and by the abstraction's
-        # claim maximization and symbolic views
+        # every added clause, in order; read by the abstraction's claim
+        # maximization and symbolic views
         self.db: list[tuple[int, ...]] = []
         self.watches: list[list[list[int]]] = [[], []]
         self.assign: list[int] = [_UNDEF]
@@ -73,7 +63,6 @@ class Solver:
         self.seen: list[bool] = [False]
         self.order: list[tuple[float, int]] = []
         self.var_inc = 1.0
-        self._out_of_order = False  # trail levels are not ascending
         self.conflicts = 0
         self.propagations = 0
 
@@ -143,11 +132,10 @@ class Solver:
     # ------------------------------------------------------------------
     # trail
 
-    def _enqueue(self, lit: int, reason: list[int] | None,
-                 level: int | None = None) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         v = abs(lit)
         self.assign[v] = 1 if lit > 0 else 0
-        self.level[v] = len(self.trail_lim) if level is None else level
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
@@ -155,21 +143,14 @@ class Solver:
         if len(self.trail_lim) <= target_level:
             return
         bound = self.trail_lim[target_level]
-        keep = self._out_of_order
-        kept: list[int] = []  # out-of-order literals, propagated again
         for lit in self.trail[bound:]:
             v = abs(lit)
-            if keep and self.level[v] <= target_level:
-                kept.append(lit)
-                continue
             self.assign[v] = _UNDEF
             self.reason[v] = None
             heapq.heappush(self.order, (-self.activity[v], v))
-        self.trail[bound:] = kept
+        del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = bound
-        if target_level == 0:
-            self._out_of_order = False
 
     # ------------------------------------------------------------------
     # propagation
@@ -178,8 +159,6 @@ class Solver:
         trail = self.trail
         watches = self.watches
         assign = self.assign
-        level = self.level
-        out_of_order = self._out_of_order
         while self.qhead < len(trail):
             p = trail[self.qhead]
             self.qhead += 1
@@ -216,9 +195,7 @@ class Solver:
                     watches[idx] = kept
                     self.qhead = len(trail)
                     return c
-                self._enqueue(first, c, max(
-                    level[abs(q)] for q in itertools.islice(c, 1, None))
-                    if out_of_order else None)
+                self._enqueue(first, c)
             watches[idx] = kept
         return None
 
@@ -238,27 +215,9 @@ class Solver:
                           if self.assign[i] == _UNDEF]
             heapq.heapify(self.order)
 
-    def _watch_highest(self, c: list[int]) -> tuple[int, int]:
-        """Move the two highest-level literals of `c` to its watched front,
-        moving its watches with them; return their two levels."""
-        level = self.level
-        old = c[:2]
-        for pos in (0, 1):
-            best = max(range(pos, len(c)), key=lambda k: level[abs(c[k])])
-            c[pos], c[best] = c[best], c[pos]
-        for lit in old:
-            if lit not in c[:2]:
-                ws = self.watches[self._widx(lit)]
-                del ws[next(i for i, w in enumerate(ws) if w is c)]
-        for lit in c[:2]:
-            if lit not in old:
-                self.watches[self._widx(lit)].append(c)
-        return level[abs(c[0])], level[abs(c[1])]
-
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = []
         current = len(self.trail_lim)  # the conflict level
-        level = self.level
         seen = self.seen
         cleared: list[int] = []
         counter = 0
@@ -276,8 +235,7 @@ class Solver:
                         counter += 1
                     else:
                         learnt.append(q)
-            while (not seen[abs(self.trail[idx])]
-                   or level[abs(self.trail[idx])] < current):
+            while not seen[abs(self.trail[idx])]:
                 idx -= 1
             p = self.trail[idx]
             seen[abs(p)] = False
@@ -362,27 +320,16 @@ class Solver:
                 if confl is not None:
                     self.conflicts += 1
                     conflicts_here += 1
-                    if self._out_of_order:
-                        top, second = self._watch_highest(confl)
-                        if second < top:  # an implication missed at `second`
-                            self._cancel_until(top - 1)
-                            self._enqueue(confl[0], confl, second)
-                            continue
-                        self._cancel_until(top)
                     if not self.trail_lim:
                         self.ok = False
                         return SolveResult(False, failed=())
                     learnt, bt = self._analyze(confl)
-                    target = bt
-                    if len(self.trail_lim) - bt > CHRONO_THRESHOLD:
-                        target = len(self.trail_lim) - 1
-                        self._out_of_order = True
-                    self._cancel_until(target)
+                    self._cancel_until(bt)
                     if len(learnt) == 1:
-                        self._enqueue(learnt[0], None, 0)
+                        self._enqueue(learnt[0], None)
                     else:
                         self._attach(learnt)
-                        self._enqueue(learnt[0], learnt, bt)
+                        self._enqueue(learnt[0], learnt)
                     self.var_inc /= 0.95
                     if conflicts_here >= restart_budget:
                         conflicts_here = 0

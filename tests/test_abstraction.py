@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qbfkit.abstraction import ScopeAbstraction, compute_influence
+from qbfkit.aiger import Circuit, encode_formula, negate
 from qbfkit.bench import (GenSpec, gen_expansion_hard, gen_qparity,
                           gen_random)
 from qbfkit.formula import AND, LIT, OR, InternalError, Quantifier, subformulas
@@ -268,7 +269,7 @@ def test_claims_only_rise_under_maximization():
             if not result.sat:
                 continue
             adjusted = block.maximize_claims(result.model)
-            for sv in block.claim.values():
+            for sv in map(abs, block.claim.values()):
                 assert adjusted[sv] >= result.model[sv]
         checked += 1
 
@@ -373,7 +374,7 @@ def test_block_numbering_golden():
             randoms.append(reduced)
     fixed = [example_problem()[0], gen_qparity(3), gen_expansion_hard(2)]
     assert numbering_digest(fixed) == (
-        "b26aa6b58cd5578fcf04df213f015fb8bff7405f5cce26d8f4376df93543e362")
+        "27a6f96c0528fe38447e9475ee4da062d782be794e19372b4115149f423306ce")
     assert numbering_digest(randoms) == (
         "aba04a512b7af07e6baff06c17c71e5135c36851161795cd6726f3ff76458bc1")
 
@@ -395,3 +396,42 @@ def test_claim_maximization_is_done_in_one_pass():
                 once = block.maximize_claims(result.model)
                 assert block.maximize_claims(once) == once
         checked += 1
+
+
+def test_complementary_block_local_nodes_share_one_claim():
+    # A negated claim is the claim of an earlier node whose and-inverter
+    # graph literal is the negation of its own, both decided by this block
+    # alone; no interface node takes another node's claim.
+    rng = random.Random(43)
+    problems = [gen_qparity(8)]
+    problems += [random_problem(rng, max_vars=8, max_budget=30, impure=True)
+                 for _ in range(200)]
+    shared = []  # negated claims per problem
+    for problem in problems:
+        if problem.matrix_constant() is not None:
+            continue
+        arena = problem.arena
+        circuit = Circuit()
+        var_lit = {v: circuit.add_input(str(v)) for v in problem.all_vars()}
+        encoded = {}
+        encode_formula(circuit, arena, problem.matrix, var_lit, encoded)
+        influence = compute_influence(problem)
+        shared.append(0)
+        for k in range(1, influence.max_scope[problem.matrix] + 1):
+            block = ScopeAbstraction.build(problem, k, influence)
+            for n, sv in block.claim.items():
+                if sv > 0:
+                    continue
+                partner = block.role_key[-sv]
+                assert partner < n
+                for node in (n, partner):
+                    assert arena.kinds[node] != LIT
+                    assert (influence.min_scope[node]
+                            == influence.max_scope[node] == k)
+                assert (encoded[arena.canon[n]]
+                        == negate(encoded[arena.canon[partner]]))
+                shared[-1] += 1
+            for n in (*block.incoming, *block.exposed):
+                assert n not in influence.complement
+                assert block.claim.get(n, 1) > 0
+    assert shared[0] > 0 and sum(shared[1:]) > 0

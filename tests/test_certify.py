@@ -394,31 +394,6 @@ def test_verify_is_linear_on_expansion_hard(monkeypatch):
         assert solvers[0].propagations <= 8 * n
 
 
-def test_verify_backtracks_chronologically_on_expansion_hard(monkeypatch):
-    # On a miter without the two-level rules, half the clauses this check
-    # learns are units that would undo about a hundred decision levels
-    # each; chronological backtracking keeps those levels instead of
-    # propagating them again.
-    monkeypatch.setattr(certify, "TwoLevelCircuit", Circuit)
-    problem, circuit = expansion_hard_certificate(256)
-    counts = []
-    solve = Solver.solve
-
-    def counted(solver, assumptions=()):
-        before = solver.conflicts, solver.propagations
-        result = solve(solver, assumptions)
-        counts.append((solver.conflicts - before[0],
-                       solver.propagations - before[1]))
-        return result
-
-    monkeypatch.setattr(Solver, "solve", counted)
-    assert verify(problem, circuit).status == "valid"
-    assert len(counts) == 1
-    conflicts, propagations = counts[0]
-    assert conflicts == 510
-    assert propagations <= 150_000
-
-
 # ----------------------------------------------------------------------
 # trace files
 

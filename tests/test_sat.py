@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from qbfkit import sat
 from qbfkit.sat import Solver, SolveResult
 
 
@@ -214,26 +213,7 @@ def test_determinism():
 
 
 # ----------------------------------------------------------------------
-# chronological backtracking
-
-
-@pytest.fixture
-def always_chronological(monkeypatch):
-    """Every backjump of two or more levels backtracks chronologically."""
-    monkeypatch.setattr(sat, "CHRONO_THRESHOLD", 0)
-
-
-@pytest.mark.parametrize("check", [
-    test_against_truth_table_oracle,
-    test_assumption_results_match_conditioned_table,
-    test_core_property_random,
-    test_failed_assumptions_are_a_core,
-    test_core_via_root_implication,
-    test_incremental_clause_addition,
-], ids=lambda check: check.__name__)
-def test_chronological_backtracking_passes_the_solver_tests(
-        always_chronological, check):
-    check()
+# incremental differential
 
 
 def truth_table_rows(nvars):
@@ -262,8 +242,7 @@ def rows_satisfying(rows, clause):
     return out
 
 
-def test_chronological_backtracking_against_brute_force(
-        always_chronological, seed=4):
+def test_incremental_solver_against_brute_force(seed=4):
     # 3-CNF near the satisfiability threshold, so that searches backjump;
     # each solver answers four assumption queries and gains a clause after
     # each one. `models` is the bit set of rows that satisfy every clause.

@@ -151,9 +151,10 @@ def test_xor_chain_of_forty_levels_stays_linear():
 def test_each_xor_level_keeps_one_gate_triple(monkeypatch):
     # Both polarities of an XOR level share one gate triple, in the
     # certificate and in verify's miter, so certificates stay at three gates
-    # per level and verify's one SAT call ends almost at once. The chained
-    # parity's dual swaps the quantifiers, so it is true and certifies z by
-    # a Skolem function. The counts are exact, not timings.
+    # per level and verify's one SAT call ends almost at once. In the solve,
+    # they share one claim, so its queries end almost at once too. The
+    # chained parity's dual swaps the quantifiers, so it is true and
+    # certifies z by a Skolem function. The counts are exact, not timings.
     chained = gen_qparity(256, chain=True)
     dual = QbfProblem.make(
         chained.arena,
@@ -173,8 +174,13 @@ def test_each_xor_level_keeps_one_gate_triple(monkeypatch):
                                       (chained, 255, False),
                                       (dual, 255, True)):
         reduced, info = preprocess(problem)
-        value, trace, _ = solve_abstraction(reduced)
+        conflicts.clear()
+        monkeypatch.setattr(Solver, "solve", counted)
+        value, trace, stats = solve_abstraction(reduced)
+        monkeypatch.undo()
         assert value is expected
+        assert (stats.total_iterations, sum(stats.refinements)) == (7, 2)
+        assert sum(conflicts) <= 2, conflicts
         circuit = build_certificate(problem, reduced, info.eliminated, trace,
                                     value)
         assert len(circuit.gates) <= 3 * levels

@@ -234,7 +234,7 @@ def test_search_golden(monkeypatch):
     assert search_digest([*(gen_expansion_hard(n) for n in range(1, 7)),
                           *(gen_qparity(n) for n in range(2, 7))],
                          monkeypatch) == (
-        "93867bda471ffd5039fe89fd7c40295dcd0002651c4ad11e5a6d217e45fa331c")
+        "2197f242d9fe2d6149a6a89092373f858046a8f2b4c66f0d913b9eda0d137ce8")
     assert search_digest(randoms, monkeypatch) == (
         "781c088706b482224ff10497f34dcdb5c3a93736174780e5efb154b93b44e5f3")
 
