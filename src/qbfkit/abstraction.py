@@ -12,15 +12,16 @@ variable numbering:
 
 Subformulas whose variables lie on both sides of a block boundary are the
 interface of that boundary. `compute_influence` lists the interface of
-every boundary in one walk of the matrix, and each block reads its incoming
-and outgoing interface from that table. A claim variable (`claim[n]`) states
-that the round being built keeps node `n` alive; an outer variable
-(`outer_sat[n]`) states that the outer rounds already took care of the part
-of `n` they can see. Interface literals are the only channel between blocks:
-a block receives assumptions over the incoming interface and exposes claims
-over the outgoing one. An outer variable is allocated when a clause first
-names it, and a block variable only if the matrix reads it, so every SAT
-variable of a block occurs in some clause.
+every boundary, by ascending node id, in one pass over the matrix's nodes,
+and each block reads its incoming and outgoing interface from that table.
+A claim variable (`claim[n]`) states that the round being built keeps node
+`n` alive; an outer variable (`outer_sat[n]`) states that the outer rounds
+already took care of the part of `n` they can see. Interface literals are
+the only channel between blocks: a block receives assumptions over the
+incoming interface and exposes claims over the outgoing one. An outer
+variable is allocated when a clause first names it, and a block variable
+only if the matrix reads it, so every SAT variable of a block occurs in
+some clause.
 
 Claim, outer and constraint variables name arena nodes, not occurrences of
 them. The matrix is a DAG, and a node reached from several parents (a QCIR
@@ -52,7 +53,10 @@ block-local claim to the node's value breaks no clause.
 Children are created before their parents, so ascending node ids are a
 topological order: `compute_influence` relies on it to see every child
 before its parent, and `maximize_claims` to settle child claims in the one
-pass before the claims of their parents.
+pass before the claims of their parents. The prefix alternates
+(`QbfProblem.make` merges it), so each block plays against the opposite
+player, and the solver plays the blocks from the root's `min_scope` to its
+`max_scope`: no block outside them has a variable or an interface.
 
 The encoding walks the matrix with the block's polarity applied on the fly,
 so node ids are stable across blocks and polarities. One rule places every
@@ -104,7 +108,7 @@ from dataclasses import dataclass
 
 from .aiger import FALSE_LIT, TRUE_LIT, Circuit, encode_formula, negate
 from .formula import (AND, LIT, OR, InternalError, QbfProblem, Quantifier,
-                      subformulas)
+                      postorder)
 from .sat import Solver
 
 
@@ -114,8 +118,8 @@ class InfluenceMap:
     interface of every boundary, and the children of every node indexed by
     the block that decides them.
 
-    `interface[k]` lists the nodes straddling boundary k|k+1 in preorder of
-    first visits, each once however many parents it has; `interface[0]` and
+    `interface[k]` lists the nodes straddling boundary k|k+1 by ascending
+    id, each once however many parents it has; `interface[0]` and
     `interface[scope_count]` are empty.
 
     Children are payload positions. `at[n][s]` lists, ascending, those of
@@ -177,13 +181,24 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
     if problem.matrix_constant() is not None:
         raise ValueError("a constant matrix has no influence structure")
     kinds, payload = arena.kinds, arena.payload
-    preorder = subformulas(arena, problem.matrix)
+    root = problem.matrix
     mins: dict[int, int] = {}
     maxs: dict[int, int] = {}
     at: dict[int, dict[int, list[int]]] = {}
     falls: dict[int, list[tuple[int, int]]] = {}
     read: set[int] = set()
-    for n in sorted(preorder):
+    interface: list[list[int]] = [[] for _ in range(problem.scope_count + 1)]
+    root_slot: dict[int, int] = {}
+    root_literals: list[tuple[int, int]] = []
+    inner_until = 0
+    # the block-local nodes as an and-inverter graph, in which a node's
+    # complement has the negated literal however it is spelled
+    circuit = Circuit()
+    var_lit = {v: circuit.add_input(str(v)) for v in problem.all_vars()}
+    encoded: dict[int, int] = {}
+    complement: dict[int, int] = {}
+    first: dict[tuple[int, int], int] = {}  # (block, literal) -> node
+    for n in sorted(postorder(arena, root)):
         if kinds[n] == LIT:
             read.add(abs(payload[n]))
             mins[n] = maxs[n] = problem.var_scope[abs(payload[n])]
@@ -198,41 +213,27 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
             groups.setdefault(s, []).append(i)
             if not drops or s < drops[-1][0]:
                 drops.append((s, i))
-        mins[n] = min(mins[c] for c in kids)
-        maxs[n] = max(groups)
+        lo = mins[n] = min(mins[c] for c in kids)
+        hi = maxs[n] = max(groups)
         at[n], falls[n] = groups, drops
-    interface: list[list[int]] = [[] for _ in range(problem.scope_count + 1)]
-    for n in preorder:
-        for k in range(mins[n], maxs[n]):
+        for k in range(lo, hi):
             interface[k].append(n)
-    root = problem.matrix
-    root_slot: dict[int, int] = {}
-    root_literals: list[tuple[int, int]] = []
-    inner_until = 0
-    for i, c in enumerate(payload[root] if kinds[root] != LIT else ()):
-        root_slot[c] = i
-        if kinds[c] != LIT:
-            inner_until = max(inner_until, mins[c])
-        elif not root_literals or maxs[c] > root_literals[-1][0]:
-            root_literals.append((maxs[c], i))
-    # the block-local nodes as an and-inverter graph, in which a node's
-    # complement has the negated literal however it is spelled
-    circuit = Circuit()
-    var_lit = {v: circuit.add_input(str(v)) for v in sorted(read)}
-    encoded: dict[int, int] = {}
-    complement: dict[int, int] = {}
-    first: dict[tuple[int, int], int] = {}  # (block, literal) -> node
-    for n in sorted(preorder):
-        if n == root or kinds[n] == LIT or mins[n] != maxs[n]:
-            continue
-        lit = encode_formula(circuit, arena, n, var_lit, encoded)
-        if lit in (FALSE_LIT, TRUE_LIT):
-            continue
-        partner = first.get((mins[n], negate(lit)))
-        if partner is None:
-            first.setdefault((mins[n], lit), n)
-        else:
-            complement[n] = partner
+        if n == root:
+            for i, c in enumerate(kids):
+                root_slot[c] = i
+                if kinds[c] != LIT:
+                    inner_until = max(inner_until, mins[c])
+                elif not root_literals or maxs[c] > root_literals[-1][0]:
+                    root_literals.append((maxs[c], i))
+        elif lo == hi:
+            lit = encode_formula(circuit, arena, n, var_lit, encoded)
+            if lit in (FALSE_LIT, TRUE_LIT):
+                continue
+            partner = first.get((lo, negate(lit)))
+            if partner is None:
+                first.setdefault((lo, lit), n)
+            else:
+                complement[n] = partner
     return InfluenceMap(mins, maxs, tuple(map(tuple, interface)), at, falls,
                         root_slot, root_literals, inner_until, frozenset(read),
                         complement)

@@ -22,8 +22,7 @@ import io
 import random
 from dataclasses import dataclass
 
-from .formula import (AND, OR, Arena, QbfProblem, Quantifier, Scope,
-                      merge_adjacent, subformulas)
+from .formula import AND, OR, Arena, QbfProblem, Quantifier, Scope, postorder
 from .solver import solve
 
 
@@ -105,7 +104,7 @@ def gen_expansion_hard(n: int) -> QbfProblem:
         c_vars += [c_lo, c_hi]
     conjuncts.append(arena.build(OR, [arena.lit(-c) for c in c_vars]))
     matrix = arena.build(AND, conjuncts)
-    return QbfProblem.make(arena, merge_adjacent(scopes), matrix, names)
+    return QbfProblem.make(arena, scopes, matrix, names)
 
 
 @dataclass(frozen=True)
@@ -144,9 +143,9 @@ def gen_random(spec: GenSpec) -> QbfProblem:
             scopes.append(Scope(quantifier, tuple(order[lo:hi])))
         arena = Arena()
         matrix = _random_tree(rng, arena, nvars, spec.max_nodes)
-        problem = QbfProblem.make(arena, merge_adjacent(scopes), matrix)
+        problem = QbfProblem.make(arena, scopes, matrix)
         if problem.matrix_constant() is None \
-                and len(subformulas(arena, matrix)) <= spec.max_nodes:
+                and len(postorder(arena, matrix)) <= spec.max_nodes:
             return problem
 
 

@@ -110,21 +110,6 @@ class Arena:
         return self._add(kind, tuple(kept.values()), (kind, tuple(kept)))
 
 
-def subformulas(arena: Arena, node: int) -> list[int]:
-    """The distinct nodes reachable from `node`, in preorder of first visits."""
-    kinds, payload = arena.kinds, arena.payload
-    seen: dict[int, None] = {}  # insertion-ordered set
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen[n] = None
-        if kinds[n] != LIT:  # constants have no children
-            stack.extend(reversed(payload[n]))
-    return list(seen)
-
-
 def postorder(arena: Arena, node: int, done=()) -> list[int]:
     """The distinct nodes reachable from `node` without passing through
     `done`, in the order a depth-first recursion memoized by `done` finishes
@@ -237,11 +222,12 @@ class QbfProblem:
     def make(cls, arena: Arena, prefix, matrix: int,
              var_names: dict[int, str] | None = None,
              node_gate: dict[int, int] | None = None) -> "QbfProblem":
-        prefix = list(prefix)
+        """A problem over `prefix` with adjacent blocks of one quantifier
+        merged and empty blocks dropped, so its blocks alternate: the
+        abstraction solver plays each block against the opposite player."""
+        prefix = merge_adjacent(prefix)
         var_scope: dict[int, int] = {}
         for index, scope in enumerate(prefix, start=1):
-            if not scope.vars:
-                raise ValueError(f"scope {index} is empty")
             for v in scope.vars:
                 if v in var_scope:
                     raise ValueError(f"variable {v} bound twice")

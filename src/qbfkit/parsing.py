@@ -23,7 +23,7 @@ import itertools
 import re
 
 from .formula import (AND, FALSE, LIT, OR, TRUE, Arena, QbfProblem, Quantifier,
-                      Scope, merge_adjacent)
+                      Scope)
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _LITERAL = re.compile(r"-?[A-Za-z0-9_]+\Z")
@@ -296,7 +296,7 @@ class _QcirReader:
         scopes.extend(self.explicit)
         scopes.extend(self.hoisted)
         try:
-            return QbfProblem.make(self.arena, merge_adjacent(scopes), matrix,
+            return QbfProblem.make(self.arena, scopes, matrix,
                                    self.var_names, self.node_gate)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
@@ -381,7 +381,7 @@ def parse_qdimacs(text: str) -> QbfProblem:
     if free:
         scopes.insert(0, Scope(Quantifier.EXISTS, tuple(free)))
     try:
-        return QbfProblem.make(arena, merge_adjacent(scopes), matrix)
+        return QbfProblem.make(arena, scopes, matrix)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

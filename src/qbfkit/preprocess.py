@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .formula import (AND, FALSE, LIT, OR, TRUE, Arena, QbfProblem, Quantifier,
-                      Scope, class_postorder, merge_adjacent)
+                      Scope, class_postorder)
 
 
 @dataclass
@@ -135,9 +135,9 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
             break
         info.eliminated.update(subst)
 
-    prefix = merge_adjacent(
-        Scope(s.quantifier, tuple(v for v in s.vars if v not in info.eliminated))
-        for s in problem.prefix)
+    prefix = [Scope(s.quantifier,
+                    tuple(v for v in s.vars if v not in info.eliminated))
+              for s in problem.prefix]
     names = {v: problem.var_names[v] for v in quantifier if v not in info.eliminated}
     if src.kinds[matrix] in (TRUE, FALSE):
         node_gate = {}

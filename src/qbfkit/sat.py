@@ -308,9 +308,6 @@ class Solver:
                 return SolveResult(False, failed=(a, -a) if a > 0 else (-a, a))
         if not self.ok:
             return SolveResult(False, failed=())
-        if self._propagate() is not None:
-            self.ok = False
-            return SolveResult(False, failed=())
 
         restart_budget = 100
         conflicts_here = 0

@@ -1,16 +1,18 @@
 """Game-style solving of prenex NNF problems.
 
-Both algorithms play one game, driven by ``_play``: each quantifier block
-plays rounds against the blocks inside it, and a round ends when one side's
-SAT query comes back unsatisfiable. The assumption-literal core of that
-query tells the caller which part of its offer the loss actually relied on,
-so the caller can refine with a single clause instead of enumerating
-assignments. The loop keeps the blocks that wait on an inner one on an
-explicit stack, so a prefix of any depth solves at Python's default
-recursion limit. Each algorithm supplies the four moves of a block k:
+Both algorithms play one game, driven by ``_play`` over the blocks an
+algorithm plays: each of them plays rounds against the ones inside it, and
+a round ends when one side's SAT query comes back unsatisfiable. The
+assumption-literal core of that query tells the caller which part of its
+offer the loss actually relied on, so the caller can refine with a single
+clause instead of enumerating assignments. A block the game skips holds no
+variable the matrix depends on, so no move of it matters. The loop keeps
+the blocks that wait on an inner one on an explicit stack, so a prefix of
+any depth solves at Python's default recursion limit. Each algorithm
+supplies the blocks it plays and the four moves of a block k:
 
 - ``play``: query block k against the outer blocks' moves, and on a win
-  descend to block k + 1 or, at the innermost block played, ``confirm``;
+  descend to the next block played or, at the innermost one, ``confirm``;
 - ``confirm``: refute the round on the challenger side; the core is the
   witness of the round's outcome;
 - ``carry``: the inner blocks won block k's round; restate their witness
@@ -19,13 +21,16 @@ recursion limit. Each algorithm supplies the four moves of a block k:
   relied on, and block k plays again.
 
 ``solve_assignment`` plays rounds over full variable assignments - each block
-proposes values for its own variables given the outer ones. It is simple and
-serves as a baseline, but a block may need exponentially many proposals.
+proposes values for its own variables given the outer ones. It plays the
+blocks that hold a variable of the matrix's and-inverter graph cone, after
+constants and tautologies fold. It is simple and serves as a baseline, but
+a block may need exponentially many proposals.
 
 ``solve_abstraction`` plays rounds over block interfaces: a block only
 decides its own variables plus which interface subformulas it claims versus
 delegates inward, using the per-block abstractions of
-:mod:`qbfkit.abstraction`. Confirmed wins are recorded as proof pairs - which
+:mod:`qbfkit.abstraction`. It plays every block from the first to the last
+that the matrix reads. Confirmed wins are recorded as proof pairs - which
 granted interface nodes and which block variables the win relied on - from
 which :mod:`qbfkit.certify` can extract strategy functions.
 """
@@ -91,23 +96,24 @@ class SolveStats:
         return sum(self.sat_queries)
 
 
-def _play(problem: QbfProblem, innermost: int, play, confirm, carry,
-          refine) -> bool:
-    """Play the game down to block ``innermost``; return whether the
-    existential side wins. ``play(k, outer, descend)`` is ``(True, move,
-    inner)``, or ``(False, witness, None)`` when block k loses."""
+def _play(problem: QbfProblem, blocks, play, confirm, carry, refine) -> bool:
+    """Play the game over ``blocks``, an ascending list of block indices;
+    return whether the existential side wins. ``play(k, outer, descend)`` is
+    ``(True, move, inner)``, or ``(False, witness, None)`` when block k
+    loses."""
     exists = [scope.quantifier is Quantifier.EXISTS for scope in problem.prefix]
     # the blocks waiting on an inner one, outermost first, with their rounds
     waiting: list[tuple[int, object, object]] = []
-    k, outer = 1, {}
+    inner_of = dict(zip(blocks, blocks[1:]))
+    k, outer = blocks[0], {}
     while True:
-        descend = k < innermost
+        descend = k in inner_of
         won, move, inner = play(k, outer, descend)
         if not won:
             outcome = not exists[k - 1], move
         elif descend:
             waiting.append((k, outer, move))
-            k, outer = k + 1, inner
+            k, outer = inner_of[k], inner
             continue
         else:
             outcome = exists[k - 1], confirm(k, outer, move)
@@ -121,7 +127,7 @@ def _play(problem: QbfProblem, innermost: int, play, confirm, carry,
             refine(k, outer, move, witness)
             break
         else:
-            return outcome[0]  # no block is left waiting: block 1's outcome
+            return outcome[0]  # no block is left waiting: the outermost's
 
 
 def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
@@ -189,7 +195,9 @@ def solve_abstraction(problem: QbfProblem, config: SolveConfig | None = None):
         blocks[k].refine(relied)
         stats.refinements[k - 1] += 1
 
-    value = _play(problem, min(nblocks, influence.max_scope[problem.matrix]),
+    root = problem.matrix
+    value = _play(problem, range(influence.min_scope[root],
+                                 influence.max_scope[root] + 1),
                   play, confirm, carry, refine)
     stats.wall_time = time.perf_counter() - t0
     return value, trace, stats
@@ -203,10 +211,6 @@ def solve_assignment(problem: QbfProblem):
     t0 = time.perf_counter()
     nblocks = problem.scope_count
     stats = SolveStats([0] * nblocks, [0] * nblocks)
-    constant = problem.matrix_constant()
-    if constant is not None:
-        stats.wall_time = time.perf_counter() - t0
-        return constant, stats
     # the matrix as an and-inverter graph, one input per prefix variable;
     # the graph folds constants and tautologies such as v | -v as it is
     # built, and a root that folds to a constant is the verdict
@@ -218,12 +222,16 @@ def solve_assignment(problem: QbfProblem):
         stats.wall_time = time.perf_counter() - t0
         return root == TRUE_LIT, stats
 
-    # Every solver encodes the root's cone alike, its inputs first in prefix
-    # order, so outer assignments can be assumed directly; a variable outside
-    # the cone is in no clause, so it gets no number and no value. Each block
-    # asserts the root as its owner needs it, the challenger (last) as the
-    # innermost block's opponent does.
-    owners = [scope.quantifier for scope in problem.prefix]
+    # Only the blocks holding a variable of the root's cone play, each with
+    # a solver. Every solver encodes the cone alike, its inputs first in
+    # prefix order, so outer assignments can be assumed directly; a variable
+    # outside the cone is in no clause, so it gets no number and no value.
+    # Each block asserts the root as its owner needs it, the challenger
+    # (last) as the innermost played block's opponent does.
+    cone = set(circuit.cone(root))
+    played = sorted({problem.var_scope[v] for v, lit in input_lit.items()
+                     if lit // 2 in cone})
+    owners = [problem.prefix[k - 1].quantifier for k in played]
     owners.append(owners[-1].complement)
     solvers = []
     for owner in owners:
@@ -233,6 +241,7 @@ def solve_assignment(problem: QbfProblem):
         solver.add_clause([top if owner is Quantifier.EXISTS else -top])
         solvers.append(solver)
     challenger = solvers.pop()
+    solver_of = dict(zip(played, solvers))
     var_map = {v: sat_var[lit // 2] for v, lit in input_lit.items()
                if lit // 2 in sat_var}
     var_of = {sv: v for v, sv in var_map.items()}
@@ -248,7 +257,7 @@ def solve_assignment(problem: QbfProblem):
     # outcome names only variables of the blocks outside it
     def play(k: int, alpha: dict, descend: bool):
         stats.sat_queries[k - 1] += 1
-        result = solvers[k - 1].solve(assumption_lits(alpha))
+        result = solver_of[k].solve(assumption_lits(alpha))
         if not result.sat:
             return False, core_witness(result.failed, alpha), None
         beta = dict(alpha)
@@ -268,11 +277,11 @@ def solve_assignment(problem: QbfProblem):
         return {v: b for v, b in witness.items() if v in alpha}
 
     def refine(k: int, alpha: dict, beta: dict, witness: dict) -> None:
-        solvers[k - 1].add_clause([-var_map[v] if b else var_map[v]
+        solver_of[k].add_clause([-var_map[v] if b else var_map[v]
                                    for v, b in sorted(witness.items())])
         stats.refinements[k - 1] += 1
 
-    value = _play(problem, nblocks, play, confirm, carry, refine)
+    value = _play(problem, played, play, confirm, carry, refine)
     stats.wall_time = time.perf_counter() - t0
     return value, stats
 

@@ -22,7 +22,7 @@ def random_problem(rng, max_vars=6, max_budget=14, impure=False):
     With `impure`, every variable of the matrix occurs under both polarities,
     which keeps pure-literal elimination from collapsing the problem.
     """
-    from qbfkit.formula import LIT, subformulas
+    from qbfkit.formula import LIT, postorder
 
     while True:
         arena = Arena()
@@ -31,7 +31,7 @@ def random_problem(rng, max_vars=6, max_budget=14, impure=False):
         if not impure:
             break
         pos, neg = set(), set()
-        for n in subformulas(arena, matrix):
+        for n in postorder(arena, matrix):
             if arena.kinds[n] == LIT:
                 lit = arena.payload[n]
                 (pos if lit > 0 else neg).add(abs(lit))

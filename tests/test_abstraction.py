@@ -9,7 +9,7 @@ from qbfkit.abstraction import ScopeAbstraction, compute_influence
 from qbfkit.aiger import Circuit, encode_formula, negate
 from qbfkit.bench import (GenSpec, gen_expansion_hard, gen_qparity,
                           gen_random)
-from qbfkit.formula import AND, LIT, OR, InternalError, Quantifier, subformulas
+from qbfkit.formula import AND, LIT, OR, InternalError, Quantifier, postorder
 from qbfkit.parsing import parse_qcir
 from qbfkit.preprocess import preprocess
 
@@ -78,10 +78,11 @@ def test_influence_spans_example():
 def test_boundary_interfaces_example():
     problem, psi1, psi2 = example_problem()
     influence = compute_influence(problem)
-    assert influence.interface == ((), (psi1, psi2), ())
+    assert psi2 < psi1
+    assert influence.interface == ((), (psi2, psi1), ())
 
 
-def test_interface_table_is_the_preorder_filter_by_straddles():
+def test_interface_table_is_the_ascending_filter_by_straddles():
     rng = random.Random(23)
     problems = [example_problem()[0], parse_qcir(PARITY2_QCIR)]
     while len(problems) < 200:
@@ -90,10 +91,10 @@ def test_interface_table_is_the_preorder_filter_by_straddles():
             problems.append(problem)
     for problem in problems:
         influence = compute_influence(problem)
-        preorder = subformulas(problem.arena, problem.matrix)
+        nodes = sorted(postorder(problem.arena, problem.matrix))
         assert len(influence.interface) == problem.scope_count + 1
         for k, interface in enumerate(influence.interface):
-            assert interface == tuple(n for n in preorder
+            assert interface == tuple(n for n in nodes
                                       if influence.straddles(n, k))
 
 
@@ -102,7 +103,7 @@ def test_universal_block_claim_clauses_example():
     block = ScopeAbstraction.build(problem, 1)
     assert block.quantifier is Quantifier.FORALL
     assert block.incoming == ()
-    assert block.exposed == (psi1, psi2)
+    assert block.exposed == (psi2, psi1)
     x = 1
     expected = {
         clause(pos("claim", psi1)),
@@ -116,7 +117,7 @@ def test_existential_block_claim_clauses_example():
     problem, psi1, psi2 = example_problem()
     block = ScopeAbstraction.build(problem, 2)
     assert block.quantifier is Quantifier.EXISTS
-    assert block.incoming == (psi1, psi2)
+    assert block.incoming == (psi2, psi1)
     assert block.exposed == ()
     y = 2
     expected = {
@@ -148,7 +149,7 @@ def test_parity_universal_block_clauses():
     root = problem.matrix
     c1, c2 = problem.arena.payload[root]
     influence = compute_influence(problem)
-    assert influence.interface[1] == (root, c1, c2)
+    assert influence.interface[1] == (c1, c2, root)
     block = ScopeAbstraction.build(problem, 2)
     z = 3
     expected = {
@@ -186,9 +187,9 @@ def test_assumption_builders():
     problem, psi1, psi2 = example_problem()
     block = ScopeAbstraction.build(problem, 2)
     t1, t2 = block.outer_sat[psi1], block.outer_sat[psi2]
-    assert block.theta_assumptions({psi1: True, psi2: False}) == [t1, -t2]
+    assert block.theta_assumptions({psi1: True, psi2: False}) == [-t2, t1]
     lits = block.dual_assumptions({2: True}, {psi1: False, psi2: True})
-    assert lits == [block.x_var[2], t1, -t2]
+    assert lits == [block.x_var[2], -t2, t1]
     with pytest.raises(InternalError):
         block.theta_assumptions({psi1: True})
 
@@ -374,9 +375,9 @@ def test_block_numbering_golden():
             randoms.append(reduced)
     fixed = [example_problem()[0], gen_qparity(3), gen_expansion_hard(2)]
     assert numbering_digest(fixed) == (
-        "27a6f96c0528fe38447e9475ee4da062d782be794e19372b4115149f423306ce")
+        "fdf5f960697f165cc08132b123bc55912c5d5a8b2264645a4b340d239f8b0740")
     assert numbering_digest(randoms) == (
-        "aba04a512b7af07e6baff06c17c71e5135c36851161795cd6726f3ff76458bc1")
+        "67eae1e9b02f7ea65b4ddc95601806e2ba379c346a13a5bfee71188e6edfb094")
 
 
 def test_claim_maximization_is_done_in_one_pass():

@@ -7,7 +7,7 @@ import pytest
 
 from qbfkit.aiger import (FALSE_LIT, TRUE_LIT, Circuit, TwoLevelCircuit,
                           encode_formula, negate, read_aiger, write_aiger)
-from qbfkit.formula import AND, OR, Arena, evaluate, subformulas
+from qbfkit.formula import AND, OR, Arena, evaluate, postorder
 from qbfkit.parsing import ParseError
 from qbfkit.sat import Solver
 
@@ -307,7 +307,7 @@ def test_encode_formula_allocates_one_gate_per_class():
     assert first != second and arena.canon[first] == arena.canon[second]
     root = arena.build(AND, [arena.build(OR, [first, arena.lit(4)]),
                              arena.build(OR, [second, arena.lit(5)])])
-    nodes = subformulas(arena, root)
+    nodes = postorder(arena, root)
     gates = [n for n in nodes if arena.kinds[n] in (AND, OR)]
     assert len(gates) == 7
     # (a | b), its conjunction with c, the two disjunctions and the root

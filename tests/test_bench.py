@@ -10,7 +10,7 @@ import pytest
 from qbfkit.bench import (CSV_HEADER, GenSpec, gen_expansion_hard,
                           gen_qparity, gen_random, run_experiment)
 from qbfkit.certify import extract_functions, verify
-from qbfkit.formula import evaluate, problems_equal, subformulas
+from qbfkit.formula import evaluate, postorder, problems_equal
 from qbfkit.parsing import parse_qcir
 from qbfkit.solver import solve_abstraction, solve_assignment
 
@@ -107,7 +107,7 @@ def test_gen_random_is_reproducible_and_bounded():
         assert problem.matrix_constant() is None
         assert len(problem.all_vars()) <= 9
         assert problem.scope_count <= 3
-        assert len(subformulas(problem.arena, problem.matrix)) <= 40
+        assert len(postorder(problem.arena, problem.matrix)) <= 40
 
 
 def test_gen_random_agrees_with_brute_force():

@@ -16,8 +16,8 @@ from qbfkit.certify import (build_certificate, condition_formula,
                             extract_functions, read_trace, verify,
                             write_trace)
 from qbfkit.formula import (AND, OR, Arena, InternalError, QbfProblem,
-                            Quantifier, Scope, evaluate, problems_equal,
-                            subformulas)
+                            Quantifier, Scope, evaluate, postorder,
+                            problems_equal)
 from qbfkit.parsing import ParseError, parse_qcir, write_qcir
 from qbfkit.preprocess import preprocess
 from qbfkit.sat import Solver
@@ -621,7 +621,7 @@ def test_deep_matrix_writes_as_qcir():
     text = write_qcir(problem)
     # the matrix is a tree, so one gate line per and/or node
     arena = problem.arena
-    gates = [n for n in subformulas(arena, problem.matrix)
+    gates = [n for n in postorder(arena, problem.matrix)
              if arena.kinds[n] in (AND, OR)]
     gate_lines = [line for line in text.splitlines() if " = " in line]
     assert len(gate_lines) == len(gates) > 6000

@@ -19,7 +19,6 @@ from qbfkit.formula import (
     node_vars,
     postorder,
     problems_equal,
-    subformulas,
 )
 
 from helpers import random_nnf
@@ -69,17 +68,9 @@ def test_literal_occurrences_are_distinct_nodes():
     assert arena.payload[x_under_m] == arena.payload[x_under_n] == 1
     assert x_under_m != x_under_n
     # two occurrences of literal 1 occupy different slots
-    lits = [s for s in subformulas(arena, m)
+    lits = [s for s in postorder(arena, m)
             if arena.kinds[s] == LIT and arena.payload[s] == 1]
     assert len(lits) == 2 and lits[0] != lits[1]
-
-
-def test_subformulas_preorder():
-    arena = Arena()
-    root = build_example(arena)
-    order = subformulas(arena, root)
-    kinds = [arena.kinds[n] for n in order]
-    assert kinds == [OR, LIT, AND, LIT, LIT]
 
 
 def finishing_order(arena: Arena, node: int, done) -> list[int]:
@@ -116,7 +107,7 @@ def test_postorder_is_the_recursive_finishing_order():
     for _ in range(300):
         arena = Arena()
         root = random_dag(rng, arena)
-        nodes = subformulas(arena, root)
+        nodes = postorder(arena, root)
         for k in (0, 1, rng.randint(0, len(nodes))):
             done = dict.fromkeys(rng.sample(nodes, k))
             assert postorder(arena, root, done) == \

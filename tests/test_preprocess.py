@@ -5,7 +5,7 @@ import random
 from helpers import brute_force, random_problem
 from qbfkit.bench import gen_qparity
 from qbfkit.formula import (AND, OR, Arena, QbfProblem, Quantifier, Scope,
-                            problems_equal, subformulas)
+                            postorder, problems_equal)
 from qbfkit.parsing import parse_qcir, parse_qdimacs, write_qcir
 from qbfkit.preprocess import preprocess
 
@@ -139,7 +139,7 @@ def test_copies_made_equal_by_substitution_are_merged():
     reduced, info = preprocess(p)
     assert info.eliminated == {2: True, 3: True}
     kinds, payload = reduced.arena.kinds, reduced.arena.payload
-    nodes = subformulas(reduced.arena, reduced.matrix)
+    nodes = postorder(reduced.arena, reduced.matrix)
     classes = [reduced.arena.canon[n] for n in nodes]
     assert len(set(classes)) == len(classes)
     x_and_w = [n for n in nodes if kinds[n] == AND

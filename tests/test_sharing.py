@@ -9,8 +9,7 @@ from qbfkit.aiger import negate, read_aiger, write_aiger
 from qbfkit.bench import gen_qparity
 from qbfkit.certify import build_certificate, read_trace, verify
 from qbfkit.formula import (AND, LIT, OR, Arena, QbfProblem, Scope,
-                            class_postorder, postorder, problems_equal,
-                            subformulas)
+                            class_postorder, postorder, problems_equal)
 from qbfkit.parsing import parse_qcir, write_qcir
 from qbfkit.preprocess import PreprocessInfo, preprocess
 from qbfkit.sat import Solver
@@ -102,7 +101,7 @@ def random_shared_qcir(rng):
 
 def has_shared_node(problem) -> bool:
     arena = problem.arena
-    reachable = subformulas(arena, problem.matrix)
+    reachable = postorder(arena, problem.matrix)
     edges = sum(len(arena.payload[n]) for n in reachable
                 if arena.kinds[n] in (AND, OR))
     return edges > len(reachable) - 1
@@ -495,7 +494,7 @@ def test_class_postorder_is_postorder_filtered_to_first_of_each_class():
     for _ in range(200):
         dag = random_dag_problem(rng)
         arena = dag.arena
-        inner = rng.choice(subformulas(arena, dag.matrix))
+        inner = rng.choice(postorder(arena, dag.matrix))
         mixed = arena.build(rng.choice((AND, OR)),
                             [rebuilt(arena, inner), dag.matrix])
         tree = parse_qcir(write_qcir(dag))
@@ -524,10 +523,10 @@ def test_structurally_equal_copies_are_merged_and_stay_sound():
     for _ in range(200):
         dag = random_dag_problem(rng)
         tree = parse_qcir(write_qcir(dag))
-        nodes = subformulas(tree.arena, tree.matrix)
+        nodes = postorder(tree.arena, tree.matrix)
         copies += len({tree.arena.canon[n] for n in nodes}) < len(nodes)
         reduced, info = preprocess(tree)
-        reached = subformulas(reduced.arena, reduced.matrix)
+        reached = postorder(reduced.arena, reduced.matrix)
         classes = [reduced.arena.canon[n] for n in reached]
         assert len(set(classes)) == len(classes), write_qcir(dag)
         expected = brute_force(dag)

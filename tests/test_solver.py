@@ -9,7 +9,7 @@ import pytest
 
 from qbfkit.aiger import write_aiger
 from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
-from qbfkit.certify import build_certificate
+from qbfkit.certify import build_certificate, extract_functions, verify
 from qbfkit.formula import (AND, OR, Arena, InternalError, QbfProblem,
                             Quantifier, Scope)
 from qbfkit.parsing import parse_qcir, parse_qdimacs
@@ -18,7 +18,7 @@ from qbfkit.sat import Solver
 from qbfkit.solver import (ProofPair, SolveConfig, solve, solve_abstraction,
                            solve_assignment)
 
-from helpers import brute_force, random_problem
+from helpers import brute_force, random_nnf, random_problem
 
 EXAMPLE_QCIR = """\
 #QCIR-G14
@@ -132,6 +132,40 @@ def test_solvers_agree_with_brute_force():
         checked += 1
 
 
+def test_adjacent_blocks_of_one_quantifier_play_as_one_block():
+    arena = Arena()
+    problem = QbfProblem.make(
+        arena, [Scope(Quantifier.EXISTS, (1,)), Scope(Quantifier.EXISTS, (2,))],
+        arena.build(AND, [arena.lit(1), arena.lit(2)]))
+    assert problem.prefix == [Scope(Quantifier.EXISTS, (1, 2))]
+    value, trace, _ = solve_abstraction(problem)
+    assert value is True
+    assert solve_assignment(problem)[0] is True
+    assert verify(problem, extract_functions(problem, trace, value)).valid
+
+
+def unmerged_prefix(rng, nvars):
+    """Variables 1..nvars in random order, cut into random blocks, some of
+    them empty and some with the quantifier of the block before."""
+    order = list(range(1, nvars + 1))
+    rng.shuffle(order)
+    bounds = [0, *sorted(rng.choices(range(nvars + 1), k=nvars)), nvars]
+    return [Scope(rng.choice((Quantifier.EXISTS, Quantifier.FORALL)),
+                  tuple(order[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_solvers_agree_with_brute_force_on_unmerged_prefixes():
+    rng = random.Random(4242)
+    for _ in range(300):
+        arena = Arena()
+        nvars = rng.randint(2, 6)
+        matrix = random_nnf(rng, arena, nvars, rng.randint(4, 14))
+        problem = QbfProblem.make(arena, unmerged_prefix(rng, nvars), matrix)
+        expected = brute_force(problem)
+        assert solve_abstraction(problem)[0] is expected
+        assert solve_assignment(problem)[0] is expected
+
+
 def parse_failure(problem, expected, got):
     from qbfkit.parsing import write_qcir
     return f"expected {expected}, got {got} on:\n{write_qcir(problem)}"
@@ -188,7 +222,7 @@ def test_end_to_end_golden():
             for family in golden_families()] == [
         "9e18dc325f322084c63cc2b5c30bd53ffa60774b9fa0d7653766762e0bd83268",
         "66ece71ffd80ee31430d39498f5a42011e3cd8acfac00b0bf6621318ada4d007",
-        "e65a8e89966fb376cf4926edb429364312993dbb5e6b0fc7eba3c403708095d9",
+        "eb326386cae989fc45b26a37bdee2185ec278dd46c5e8e82b1a7aecb41d037ac",
     ]
 
 
@@ -236,31 +270,37 @@ def test_search_golden(monkeypatch):
                          monkeypatch) == (
         "2197f242d9fe2d6149a6a89092373f858046a8f2b4c66f0d913b9eda0d137ce8")
     assert search_digest(randoms, monkeypatch) == (
-        "781c088706b482224ff10497f34dcdb5c3a93736174780e5efb154b93b44e5f3")
+        "992cf5c9def209e3ac912a0d7790480659194985aa927ec18fcf1693530ac064")
 
 
 def test_deep_prefix_solves_at_the_default_recursion_limit():
-    # 1,100 alternating one-variable blocks over a matrix that only the two
-    # innermost read, so the first round descends through every block
+    # 1,100 alternating one-variable blocks. Under or(x1, ..., x1100) the
+    # abstraction plays every block, and its first round descends through
+    # all of them; under x1099 | x1100 both solvers play only the two
+    # blocks that hold a variable of the matrix
     n = 1100
     assert sys.getrecursionlimit() < n
     arena = Arena()
     prefix = [Scope(Quantifier.EXISTS if v % 2 else Quantifier.FORALL, (v,))
               for v in range(1, n + 1)]
+    wide = QbfProblem.make(
+        arena, prefix, arena.build(OR, [arena.lit(v) for v in range(1, n + 1)]))
+    value, _, stats = solve_abstraction(wide)
+    assert value is True
+    assert all(stats.sat_queries)
     problem = QbfProblem.make(
         arena, prefix, arena.build(OR, [arena.lit(n - 1), arena.lit(n)]))
-    value, stats = solve_assignment(problem)
-    assert value is True
-    assert stats.sat_queries[-1] > 0
-    value, _, stats = solve_abstraction(problem)
-    assert value is True
-    assert stats.sat_queries[-1] > 0
+    for value, stats in (solve_assignment(problem),
+                         solve_abstraction(problem)[::2]):
+        assert value is True
+        assert not any(stats.sat_queries[:-2]) and stats.sat_queries[-1] > 0
 
 
 def test_assignment_solvers_number_only_the_variables_the_matrix_reads(
         monkeypatch):
-    # the prefix of the test above: each of the 1,101 solvers needs the two
-    # variables the matrix reads and one gate, not all 1,100 variables
+    # the prefix of the test above under x1099 | x1100: only the two blocks
+    # that hold a variable of the matrix play, and each of their solvers and
+    # the challenger's needs those two variables and one gate, not all 1,100
     n = 1100
     arena = Arena()
     prefix = [Scope(Quantifier.EXISTS if v % 2 else Quantifier.FORALL, (v,))
@@ -279,7 +319,7 @@ def test_assignment_solvers_number_only_the_variables_the_matrix_reads(
     value, stats = solve_assignment(problem)
     assert value is True
     assert calls <= 10_000
-    assert (sum(stats.sat_queries), sum(stats.refinements)) == (1652, 550)
+    assert (sum(stats.sat_queries), sum(stats.refinements)) == (5, 1)
 
 
 @pytest.mark.parametrize("n", [14, 20])
