@@ -20,8 +20,8 @@ already took care of the part of `n` they can see. Interface literals are
 the only channel between blocks: a block receives assumptions over the
 incoming interface and exposes claims over the outgoing one. An outer
 variable is allocated when a clause first names it, and a block variable
-only if the matrix reads it, so every SAT variable of a block occurs in
-some clause.
+only if the matrix reads it (`QbfProblem.matrix_vars`), so every SAT
+variable of a block occurs in some clause.
 
 Claim, outer and constraint variables name arena nodes, not occurrences of
 them. The matrix is a DAG, and a node reached from several parents (a QCIR
@@ -132,10 +132,10 @@ class InfluenceMap:
     wherever the running maximum over the root's literal children rises,
     and `inner_until` is the largest `min_scope` of a non-literal root child
     (0 if there is none): at every block before it, some root disjunct is
-    decided by inner blocks only. `read` holds the variables the matrix reads.
-    `complement` maps a non-root block-local node (`min_scope ==
-    max_scope`, not a literal) to the first such node of its block whose
-    and-inverter graph literal is its negation, and no partner is a key.
+    decided by inner blocks only. `complement` maps a non-root block-local
+    node (`min_scope == max_scope`, not a literal) to the first such node
+    of its block whose and-inverter graph literal is its negation, and no
+    partner is a key.
     """
 
     min_scope: dict[int, int]
@@ -146,7 +146,6 @@ class InfluenceMap:
     root_slot: dict[int, int]
     root_literals: list[tuple[int, int]]
     inner_until: int
-    read: frozenset[int]
     complement: dict[int, int]
 
     def straddles(self, node: int, boundary: int) -> bool:
@@ -186,21 +185,21 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
     maxs: dict[int, int] = {}
     at: dict[int, dict[int, list[int]]] = {}
     falls: dict[int, list[tuple[int, int]]] = {}
-    read: set[int] = set()
     interface: list[list[int]] = [[] for _ in range(problem.scope_count + 1)]
     root_slot: dict[int, int] = {}
     root_literals: list[tuple[int, int]] = []
     inner_until = 0
     # the block-local nodes as an and-inverter graph, in which a node's
-    # complement has the negated literal however it is spelled
+    # complement has the negated literal however it is spelled; one input
+    # per variable the matrix reads, so a long prefix adds none
     circuit = Circuit()
-    var_lit = {v: circuit.add_input(str(v)) for v in problem.all_vars()}
+    var_lit = {v: circuit.add_input(str(v)) for v in problem.all_vars()
+               if v in problem.matrix_vars}
     encoded: dict[int, int] = {}
     complement: dict[int, int] = {}
     first: dict[tuple[int, int], int] = {}  # (block, literal) -> node
     for n in sorted(postorder(arena, root)):
         if kinds[n] == LIT:
-            read.add(abs(payload[n]))
             mins[n] = maxs[n] = problem.var_scope[abs(payload[n])]
             continue
         kids = payload[n]
@@ -235,8 +234,7 @@ def compute_influence(problem: QbfProblem) -> InfluenceMap:
             else:
                 complement[n] = partner
     return InfluenceMap(mins, maxs, tuple(map(tuple, interface)), at, falls,
-                        root_slot, root_literals, inner_until, frozenset(read),
-                        complement)
+                        root_slot, root_literals, inner_until, complement)
 
 
 class ScopeAbstraction:
@@ -272,7 +270,7 @@ class ScopeAbstraction:
         self._raise_checks: list[tuple[int, list[tuple[int, ...]]]] | None = None
 
         for v in problem.prefix[scope_index - 1].vars:
-            if v in influence.read:
+            if v in problem.matrix_vars:
                 self.x_var[v] = self._fresh("var", v)
         for n in self.exposed:
             self._claim_var(n)

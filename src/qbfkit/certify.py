@@ -50,8 +50,7 @@ from .abstraction import InfluenceMap, compute_influence
 from .aiger import (FALSE_LIT, TRUE_LIT, Circuit, TwoLevelCircuit,
                     encode_formula)
 from .aiger import negate as aig_not
-from .formula import (OR, InternalError, QbfProblem, Quantifier, dependencies,
-                      node_vars)
+from .formula import OR, InternalError, QbfProblem, Quantifier, dependencies
 from .parsing import ParseError
 from .sat import Solver
 from .solver import ProofPair, ProofTrace
@@ -260,8 +259,7 @@ def verify(problem: QbfProblem, circuit: Circuit) -> VerifyResult:
         lit_of[circuit.input_lit(name) // 2] = var_lit[var_of_name[name]] = \
             miter.add_input(name)
     # free matrix variables are inputs too, and inputs precede every gate
-    for v in sorted(node_vars(problem.arena, problem.matrix) - var_lit.keys()
-                    - set(func_vars)):
+    for v in sorted(problem.matrix_vars - var_lit.keys() - set(func_vars)):
         var_lit[v] = miter.add_input(names[v])
     for lhs, a, b in circuit.gates:
         lit_of[lhs // 2] = miter.and_(lit_of[a // 2] ^ (a & 1),

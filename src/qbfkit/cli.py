@@ -121,8 +121,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_bench(args) -> int:
     low, high = _parse_range(args.n)
-    seed = (args.seed if args.seed is not None
-            else int(os.environ.get("QBFKIT_SEED", "0")))
     instances = []
     for n in range(low, high + 1):
         if args.family == "qparity":
@@ -130,7 +128,8 @@ def cmd_bench(args) -> int:
         elif args.family == "expansion":
             instances.append((args.family, n, gen_expansion_hard(n)))
         else:
-            instances.append((args.family, n, gen_random(GenSpec(seed=seed + n))))
+            instances.append((args.family, n,
+                              gen_random(GenSpec(seed=args.seed + n))))
     algorithms = (("abstraction", "assignment") if args.algorithm == "both"
                   else (args.algorithm,))
     text = run_experiment(instances, algorithms)
@@ -209,10 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="algorithms to run (default: both)")
     bench.add_argument("--csv", metavar="OUT.CSV", default=None,
                        help="CSV output path (default: stdout)")
-    bench.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="seed of the random family (default: $QBFKIT_SEED if set, "
-             "else 0)")
+    bench.add_argument("--seed", type=int, default=0, metavar="N",
+                       help="seed of the random family (default: 0)")
     bench.set_defaults(func=cmd_bench)
 
     convert = sub.add_parser(

@@ -153,13 +153,6 @@ def class_postorder(arena: Arena, node: int, done=()) -> list[int]:
     return list(out.values())
 
 
-def node_vars(arena: Arena, node: int) -> set[int]:
-    """Variables occurring in the subformula rooted at `node`."""
-    kinds, payload = arena.kinds, arena.payload
-    return {abs(payload[n]) for n in class_postorder(arena, node)
-            if kinds[n] == LIT}
-
-
 def evaluate(arena: Arena, node: int, values) -> int:
     """Evaluate under a total assignment (mapping var -> 0/1).
 
@@ -215,6 +208,7 @@ class QbfProblem:
     matrix: int
     var_names: dict[int, str]
     var_scope: dict[int, int] = field(default_factory=dict)
+    matrix_vars: frozenset[int] = frozenset()  # the variables the matrix reads
     # parser provenance: arena node -> originating QCIR gate id (informational)
     node_gate: dict[int, int] = field(default_factory=dict)
 
@@ -224,7 +218,9 @@ class QbfProblem:
              node_gate: dict[int, int] | None = None) -> "QbfProblem":
         """A problem over `prefix` with adjacent blocks of one quantifier
         merged and empty blocks dropped, so its blocks alternate: the
-        abstraction solver plays each block against the opposite player."""
+        abstraction solver plays each block against the opposite player.
+        `matrix_vars` holds the variables the matrix reads, each of which
+        the prefix must bind; a prefix variable outside it is unread."""
         prefix = merge_adjacent(prefix)
         var_scope: dict[int, int] = {}
         for index, scope in enumerate(prefix, start=1):
@@ -232,13 +228,18 @@ class QbfProblem:
                 if v in var_scope:
                     raise ValueError(f"variable {v} bound twice")
                 var_scope[v] = index
-        unbound = node_vars(arena, matrix) - set(var_scope)
+        kinds, payload = arena.kinds, arena.payload
+        matrix_vars = frozenset(abs(payload[n])
+                                for n in class_postorder(arena, matrix)
+                                if kinds[n] == LIT)
+        unbound = matrix_vars - var_scope.keys()
         if unbound:
             raise ValueError(f"unbound matrix variables: {sorted(unbound)}")
         names = dict(var_names or {})
         for v in var_scope:
             names.setdefault(v, str(v))
-        return cls(arena, prefix, matrix, names, var_scope, dict(node_gate or {}))
+        return cls(arena, prefix, matrix, names, var_scope, matrix_vars,
+                   dict(node_gate or {}))
 
     @property
     def scope_count(self) -> int:

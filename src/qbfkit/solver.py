@@ -211,11 +211,12 @@ def solve_assignment(problem: QbfProblem):
     t0 = time.perf_counter()
     nblocks = problem.scope_count
     stats = SolveStats([0] * nblocks, [0] * nblocks)
-    # the matrix as an and-inverter graph, one input per prefix variable;
+    # the matrix as an and-inverter graph, one input per variable it reads;
     # the graph folds constants and tautologies such as v | -v as it is
     # built, and a root that folds to a constant is the verdict
     circuit = Circuit()
-    input_lit = {v: circuit.add_input(str(v)) for v in problem.all_vars()}
+    input_lit = {v: circuit.add_input(str(v)) for v in problem.all_vars()
+                 if v in problem.matrix_vars}
     root = encode_formula(circuit, problem.arena, problem.matrix, input_lit,
                           {})
     if root in (FALSE_LIT, TRUE_LIT):

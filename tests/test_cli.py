@@ -278,17 +278,6 @@ def test_bench_is_deterministic_up_to_timing(capsys):
     assert first == second
 
 
-def test_bench_seed_env_fallback(capsys, monkeypatch):
-    def rows(*argv):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        return [line.rsplit(",", 1)[0] for line in out.splitlines()]
-
-    explicit = rows("bench", "--family", "random", "--n", "2", "--seed", "9")
-    monkeypatch.setenv("QBFKIT_SEED", "9")
-    assert rows("bench", "--family", "random", "--n", "2") == explicit
-
-
 def test_bench_rejects_bad_ranges(capsys):
     for bad in ("5..2", "x", "0..3"):
         code, _, err = run(capsys, "bench", "--family", "qparity", "--n", bad)

@@ -16,12 +16,14 @@ from qbfkit.formula import (
     Scope,
     dependencies,
     evaluate,
-    node_vars,
     postorder,
     problems_equal,
 )
 
-from helpers import random_nnf
+from qbfkit.parsing import parse_qcir, parse_qdimacs
+from qbfkit.preprocess import preprocess
+
+from helpers import random_nnf, random_problem
 
 
 def build_example(arena: Arena) -> int:
@@ -176,14 +178,42 @@ def test_dependencies():
         dependencies(problem, 9)
 
 
-def test_node_vars_and_problem_equality():
+def test_matrix_vars_and_problem_equality():
     problem = make_problem()
-    assert node_vars(problem.arena, problem.matrix) == {1, 2}
+    assert problem.matrix_vars == {1, 2}
     other = make_problem()
     assert problems_equal(problem, other)
     renamed = make_problem()
     renamed.var_names[2] = "z"
     assert not problems_equal(problem, renamed)
+
+
+def literal_vars(problem: QbfProblem) -> set[int]:
+    """Reference: the variables of the matrix's literal nodes."""
+    kinds, payload = problem.arena.kinds, problem.arena.payload
+    return {abs(payload[n]) for n in postorder(problem.arena, problem.matrix)
+            if kinds[n] == LIT}
+
+
+def test_matrix_vars_are_the_variables_of_the_matrix_literals():
+    rng = random.Random(29)
+    eliminated = 0
+    for _ in range(200):
+        problem = random_problem(rng)
+        assert problem.matrix_vars == literal_vars(problem)
+        reduced, info = preprocess(problem)
+        assert reduced.matrix_vars == literal_vars(reduced)
+        assert not reduced.matrix_vars & info.eliminated.keys()
+        eliminated += len(info.eliminated)
+    assert eliminated > 0
+    # prefixes that bind variables the matrix does not read
+    qcir = parse_qcir("#QCIR-G14\nexists(a, b, c)\nforall(d, e)\noutput(g)\n"
+                      "g = and(a, -d)\n")
+    qdimacs = parse_qdimacs("p cnf 5 1\ne 1 2 0\na 3 4 5 0\n1 -3 0\n")
+    for problem, read in ((qcir, {"a", "d"}), (qdimacs, {"1", "3"})):
+        assert len(problem.all_vars()) == 5
+        assert problem.matrix_vars == literal_vars(problem)
+        assert {problem.var_names[v] for v in problem.matrix_vars} == read
 
 
 def same_structure(arena: Arena, a: int, b: int) -> bool:

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from qbfkit.aiger import write_aiger
+from qbfkit.abstraction import compute_influence
+from qbfkit.aiger import Circuit, write_aiger
 from qbfkit.bench import GenSpec, gen_expansion_hard, gen_qparity, gen_random
 from qbfkit.certify import build_certificate, extract_functions, verify
 from qbfkit.formula import (AND, OR, Arena, InternalError, QbfProblem,
@@ -320,6 +321,36 @@ def test_assignment_solvers_number_only_the_variables_the_matrix_reads(
     assert value is True
     assert calls <= 10_000
     assert (sum(stats.sat_queries), sum(stats.refinements)) == (5, 1)
+
+
+def test_and_inverter_graphs_get_inputs_only_for_read_variables(monkeypatch):
+    # 2,000 alternating one-variable blocks under (x1999 | x2000) &
+    # (-x1999 | -x2000): the graphs of compute_influence (which the
+    # abstraction solver runs) and of the assignment solver get one input
+    # per variable the matrix reads, not one per prefix variable
+    n = 2000
+    arena = Arena()
+    prefix = [Scope(Quantifier.EXISTS if v % 2 else Quantifier.FORALL, (v,))
+              for v in range(1, n + 1)]
+    matrix = arena.build(AND, [
+        arena.build(OR, [arena.lit(n - 1), arena.lit(n)]),
+        arena.build(OR, [arena.lit(1 - n), arena.lit(-n)])])
+    problem = QbfProblem.make(arena, prefix, matrix)
+    calls = 0
+    add_input = Circuit.add_input
+
+    def counted(circuit, name):
+        nonlocal calls
+        calls += 1
+        return add_input(circuit, name)
+
+    monkeypatch.setattr(Circuit, "add_input", counted)
+    compute_influence(problem)
+    assert calls <= 2
+    for solve_with in (solve_abstraction, solve_assignment):
+        calls = 0
+        assert solve_with(problem)[0] is False
+        assert calls <= 2
 
 
 @pytest.mark.parametrize("n", [14, 20])
