@@ -3,15 +3,18 @@
 Parsing produces a closed prenex NNF `QbfProblem`:
 
 * gate definitions are expanded into NNF with polarity pushed down to the
-  leaves (`xor` and `ite` are rewritten into and/or form); a gate is
-  expanded once per polarity, so a gate used several times stays one node
-  per polarity,
+  leaves (`xor` and `ite` are rewritten into and/or form) by one loop over
+  an explicit stack of gate frames, so gate chains of any depth parse,
 * gate quantifiers (non-prenex input) are hoisted to the end of the prefix in
-  depth-first order, with bound variables renamed apart per expansion; a
-  gate that hoists a quantifier is expanded once per polarity like any
-  other, which is sound because every use of it in NNF is monotone and its
-  hoisted block sits inside every variable it reads; a gate used where a
-  gate quantifier binds a name is expanded afresh at each use instead,
+  depth-first order, with bound variables renamed apart per expansion,
+* a gate is expanded once per polarity and per binding of its support: the
+  names bound by gate quantifiers that it reads, itself or through the gates
+  it reads, unless a gate quantifier on the way rebinds them. Its expansion
+  depends on nothing else, so a shared gate stays one node per such key.
+  That is sound for a gate that hoists a quantifier too: in NNF each use of
+  it is monotone, and its block, hoisted at its first expansion, sits inside
+  every variable it reads (an outer one, or a support name's binding,
+  hoisted before it), so one hoisted copy per key serves all its uses,
 * free variables - declared via `free(...)` or simply never quantified - are
   closed under an outermost existential block,
 * adjacent blocks with the same quantifier are merged.
@@ -28,12 +31,13 @@ from .formula import (AND, FALSE, LIT, OR, TRUE, Arena, QbfProblem, Quantifier,
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 _LITERAL = re.compile(r"-?[A-Za-z0-9_]+\Z")
 _GATE_DEF = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([A-Za-z]+)\s*\((.*)\)\Z")
+# a gate line whose arguments are all literals, checked in one match
+_LITERAL_GATE = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([A-Za-z]+)\s*\("
+                           r"(\s*(?:-?[A-Za-z0-9_]+\s*(?:,\s*-?[A-Za-z0-9_]+\s*)*)?)\)\Z")
 _BLOCK = re.compile(r"(free|exists|forall)\s*\((.*)\)\Z", re.IGNORECASE)
 _OUTPUT = re.compile(r"output\s*\((.*)\)\Z", re.IGNORECASE)
 
 _QUANT_KEYWORDS = {"exists": Quantifier.EXISTS, "forall": Quantifier.FORALL}
-
-_EXPAND, _BUILD, _UNBIND = range(3)  # work items of `_QcirReader.expand`
 
 
 class ParseError(Exception):
@@ -44,10 +48,14 @@ def _split_args(text: str):
     return [p.strip() for p in text.split(",")] if text.strip() else []
 
 
-def _check_literal(token: str, lineno: int) -> tuple[str, bool]:
+def _check_literal(token: str, lineno: int) -> str:
     if not _LITERAL.match(token):
         raise ParseError(f"line {lineno}: bad literal {token!r}")
-    return (token[1:], True) if token[0] == "-" else (token, False)
+    return token
+
+
+def _negated(literal: str) -> str:
+    return literal[1:] if literal[0] == "-" else "-" + literal
 
 
 class _QcirReader:
@@ -60,14 +68,13 @@ class _QcirReader:
         self.free_ids: list[int] = []
         self.explicit: list[Scope] = []
         self.hoisted: list[Scope] = []
-        # name -> (op, args, lineno, number), each argument a (name, negated)
-        # pair; a gate quantifier's op is (quantifier, bound names, argument)
+        # name -> (op, args, lineno, number), each argument a literal: a name,
+        # negated by a leading `-`; a gate quantifier's op is (quantifier,
+        # bound names, argument) and its args are None
         self.gates: dict[str, tuple] = {}
         self.node_gate: dict[int, int] = {}
-        self.output: tuple[str, bool] | None = None  # (name, negated)
+        self.output: str | None = None  # a literal
         self.bound: dict[str, int] = {}  # gate-quantifier bindings in scope
-        self.expanding: set[str] = set()
-        self.expanded: dict[tuple[str, bool], int] = {}  # (gate, negate) -> node
         self.used_names: set[str] = set()
 
     # -- variable allocation -------------------------------------------
@@ -91,15 +98,6 @@ class _QcirReader:
         self.var_ids[name] = v
         return v
 
-    def _resolve_var(self, name: str) -> int:
-        if name in self.bound:
-            return self.bound[name]
-        v = self.var_ids.get(name)
-        if v is None:  # never declared: close it under the outer block
-            v = self._declare(name, 0)
-            self.free_ids.append(v)
-        return v
-
     # -- line collection -------------------------------------------------
 
     def read_lines(self) -> None:
@@ -111,7 +109,7 @@ class _QcirReader:
             # gate lines first, as most lines are gates; no line matches two
             # patterns, since the leading word is followed by `=` in a gate
             # and by `(` in a block or the output
-            gate = _GATE_DEF.match(line)
+            gate = _LITERAL_GATE.match(line) or _GATE_DEF.match(line)
             if gate:
                 self._read_gate(gate, lineno, next(gate_number))
                 continue
@@ -151,11 +149,15 @@ class _QcirReader:
     def _read_gate(self, match: re.Match, lineno: int, number: int) -> None:
         if self.output is None:
             raise ParseError(f"line {lineno}: gate definition before output")
-        name, op, body = match.group(1), match.group(2).lower(), match.group(3)
+        name, op, body = match.groups()
+        op = op.lower()
         if name in self.var_ids or name in self.gates:
             raise ParseError(f"line {lineno}: {name!r} is already defined")
         if op in ("and", "or", "xor", "ite"):
-            args = [_check_literal(a, lineno) for a in _split_args(body)]
+            if match.re is _LITERAL_GATE:  # no literal holds white space
+                args = "".join(body.split()).split(",") if body.strip() else []
+            else:  # raise on the first bad literal
+                args = [_check_literal(a, lineno) for a in _split_args(body)]
             if op == "xor" and len(args) != 2:
                 raise ParseError(f"line {lineno}: xor takes exactly two arguments")
             if op == "ite" and len(args) != 3:
@@ -176,120 +178,131 @@ class _QcirReader:
         else:
             raise ParseError(f"line {lineno}: unknown gate type {op!r}")
 
-    # -- expansion to NNF -------------------------------------------------
-    #
-    # `expand` runs over an explicit stack of work items, taking them in the
-    # order a recursion over gate arguments would, so nodes, variables and
-    # hoisted blocks are created in that order. An item's first field says
-    # what to do:
-    #   (_EXPAND, name, negate)    push the node of a literal
-    #   (_BUILD, kind, arity, gate)
-    #                              replace the top `arity` nodes by their
-    #                              `kind`; that node expands `gate` unless
-    #                              it is None
-    #   (_UNBIND, saved, gate)     leave a gate quantifier's bindings; the
-    #                              top node expands `gate`
-    # where `gate` is (name, negate, shareable, number).
-
-    def expand(self, name: str, negate: bool) -> int:
-        """The NNF node of a literal: a variable's leaf, or a gate expanded
-        with its polarity pushed down to the leaves."""
-        arena, bound, gates = self.arena, self.bound, self.gates
-        nodes: list[int] = []
-        work: list[tuple] = [(_EXPAND, name, negate)]
+    def supports(self) -> dict[str, tuple[str, ...]]:
+        """Each gate's support (see the module docstring) where it is not
+        empty: the least solution of the support equations, found by a
+        worklist, as gate definitions may read each other in a cycle."""
+        gates = self.gates
+        binds = {name: op[1] for name, (op, *_) in gates.items()
+                   if type(op) is tuple}
+        bindable = {b for names in binds.values() for b in names}
+        support: dict[str, set[str]] = {}
+        readers: dict[str, list[str]] = {}  # gate -> the gates reading it
+        for name, (op, args, _, _) in gates.items() if bindable else ():
+            names = [a.lstrip("-") for a in args or [op[2]]]
+            support[name] = bindable.intersection(names).difference(binds.get(name, ()))
+            for a in names:
+                if a in gates:
+                    readers.setdefault(a, []).append(name)
+        work = list(support)
         while work:
-            item = work.pop()
-            what = item[0]
-            if what == _EXPAND:
-                _, name, negate = item
-                if name in gates and name not in bound:
-                    node = self._enter_gate(name, negate, work)
-                    if node is not None:
-                        nodes.append(node)
-                else:
-                    v = self._resolve_var(name)
-                    nodes.append(arena.lit(-v if negate else v))
-                continue
-            if what == _BUILD:
-                _, kind, arity, gate = item
-                at = len(nodes) - arity
-                node = arena.build(kind, nodes[at:])
-                del nodes[at:]
-                nodes.append(node)
-            else:
-                _, saved, gate = item
-                for b, old in saved.items():
-                    if old is None:
-                        del bound[b]
-                    else:
-                        bound[b] = old
-            if gate is not None:
-                name, negate, shareable, number = gate
-                self.expanding.discard(name)
-                self.node_gate.setdefault(nodes[-1], number)
-                if shareable:
-                    self.expanded[name, negate] = nodes[-1]
-        return nodes[0]
+            name = work.pop()
+            for reader in readers.get(name, ()):
+                grown = support[name].difference(binds.get(reader, ()), support[reader])
+                if grown:
+                    support[reader] |= grown
+                    work.append(reader)
+        return {name: tuple(names) for name, names in support.items() if names}
 
-    def _enter_gate(self, name: str, negate: bool, work: list) -> int | None:
-        """The node of a gate expanded before, or None after pushing the
-        work items that expand it."""
-        # Outside every gate quantifier a gate's expansion depends only on
-        # the gate and the polarity. That holds for a gate that hoists a
-        # quantifier too: its block is the same function of the outer
-        # variables at every use, and in NNF each use is monotone, so one
-        # hoisted copy per polarity serves them all.
-        shareable = not self.bound
-        if shareable:
-            node = self.expanded.get((name, negate))
-            if node is not None:
-                return node
-        if name in self.expanding:
-            line = self.gates[name][2]
-            raise ParseError(f"line {line}: gate {name!r} is defined cyclically")
-        op, args, _, number = self.gates[name]
-        self.expanding.add(name)
-        gate = (name, negate, shareable, number)
-        if op == "and" or op == "or":
-            kind = op if not negate else (OR if op == "and" else AND)
-            work.append((_BUILD, kind, len(args), gate))
-            work += [(_EXPAND, a, neg ^ negate) for a, neg in reversed(args)]
-        elif op == "xor":
-            (a, neg_a), (b, neg_b) = args
-            if negate:  # both equal
-                arms = [(False, False), (True, True)]
-            else:  # exactly one true
-                arms = [(False, True), (True, False)]
-            work.append((_BUILD, OR, 2, gate))
-            for na, nb in reversed(arms):
-                work += [(_BUILD, AND, 2, None), (_EXPAND, b, neg_b ^ nb),
-                         (_EXPAND, a, neg_a ^ na)]
-        elif op == "ite":
-            (c, neg_c), (t, neg_t), (e, neg_e) = args
-            work += [(_BUILD, OR, 2, gate),
-                     (_BUILD, AND, 2, None), (_EXPAND, e, neg_e ^ negate),
-                     (_EXPAND, c, not neg_c),
-                     (_BUILD, AND, 2, None), (_EXPAND, t, neg_t ^ negate),
-                     (_EXPAND, c, neg_c)]
-        else:
-            # gate quantifier: hoist to the prefix, renaming apart per
-            # occurrence
-            quantifier, names, (inner, neg) = op
-            if negate:
-                quantifier = quantifier.complement
-            work.append((_UNBIND, {b: self.bound.get(b) for b in names}, gate))
-            ids = []
-            for b in names:
-                v = self._new_var(b)
-                self.bound[b] = v
-                ids.append(v)
-            self.hoisted.append(Scope(quantifier, tuple(ids)))
-            work.append((_EXPAND, inner, neg ^ negate))
-        return None
+    # -- expansion to NNF -------------------------------------------------
+
+    def expand(self, literal: str) -> int:
+        """The NNF node of a literal: a variable's leaf, or a gate expanded
+        with its polarity pushed down to the leaves.
+
+        This runs over an explicit stack of gate frames, taking arguments in
+        the order a recursion would, so nodes, variables and hoisted blocks
+        are created in that order. The current frame is held in locals: the
+        connective of its node (None passes its one child up), its argument
+        literals, the polarity they are read in, the next argument's index,
+        the nodes built so far, whether each two of them are joined by an
+        `and` first (the arms of `xor` and `ite`), and its gate (None for the
+        root). A gate argument not in the memo suspends the frame on `stack`.
+        """
+        arena, bound, gates, var_ids = self.arena, self.bound, self.gates, self.var_ids
+        build, lit, node_gate, support = (arena.build, arena.lit, self.node_gate,
+                                          self.supports())
+        memo: dict[tuple, int] = {}  # (gate, negate, support bindings) -> node
+        expanding: set[str] = set()
+        stack: list[tuple] = []
+        kind, args, negate, i, children, pair, gate = (
+            None, (literal,), False, 0, [], False, None)
+        while True:
+            if i < len(args):
+                a = args[i]
+                i += 1
+                neg = a[0] == "-"
+                if neg:
+                    a = a[1:]
+                neg ^= negate
+                if a in gates and a not in bound:
+                    sup = support.get(a)
+                    key = (a, neg) if sup is None else (a, neg, *map(bound.get, sup))
+                    node = memo.get(key)
+                    if node is None:
+                        if a in expanding:
+                            raise ParseError(
+                                f"line {gates[a][2]}: gate {a!r} is defined cyclically")
+                        expanding.add(a)
+                        stack.append((kind, args, negate, i, children, pair, gate))
+                        op, args, _, number = gates[a]
+                        gate, negate, pair = (a, key, number, None), neg, False
+                        i, children = 0, []
+                        if op == AND or op == OR:
+                            kind = (OR if op == AND else AND) if neg else op
+                        elif op == "xor":  # one arm per way to be true
+                            x, y = args
+                            args = (x, y if neg else _negated(y), _negated(x),
+                                    _negated(y) if neg else y)
+                            kind, pair, negate = OR, True, False
+                        elif op == "ite":
+                            c, t, e = args
+                            if neg:
+                                t, e = _negated(t), _negated(e)
+                            args = (c, t, _negated(c), e)
+                            kind, pair, negate = OR, True, False
+                        else:  # hoist to the prefix, renaming apart per expansion
+                            quantifier, names, inner = op
+                            if neg:
+                                quantifier = quantifier.complement
+                            saved = {b: bound.get(b) for b in names}
+                            ids = []
+                            for b in names:
+                                bound[b] = v = self._new_var(b)
+                                ids.append(v)
+                            self.hoisted.append(Scope(quantifier, tuple(ids)))
+                            kind, args, gate = None, (inner,), (a, key, number, saved)
+                        continue
+                else:
+                    v = bound.get(a) or var_ids.get(a)
+                    if v is None:  # never declared: close it under the outer block
+                        v = self._declare(a, 0)
+                        self.free_ids.append(v)
+                    node = lit(-v if neg else v)
+            elif gate is None:
+                return children[0]
+            else:
+                a, key, number, saved = gate
+                if kind is None:
+                    node = children[0]
+                    for b, old in saved.items():
+                        if old is None:
+                            del bound[b]
+                        else:
+                            bound[b] = old
+                else:
+                    node = build(kind, children)
+                expanding.discard(a)
+                node_gate.setdefault(node, number)
+                memo[key] = node
+                kind, args, negate, i, children, pair, gate = stack.pop()
+            children.append(node)
+            if pair and not i & 1:  # an arm of `xor` or `ite` is complete
+                children[-2:] = [build(AND, children[-2:])]
 
     def problem(self) -> QbfProblem:
         self.read_lines()
-        matrix = self.expand(*self.output)
+        matrix = self.expand(self.output)
         scopes: list[Scope] = []
         if self.free_ids:
             scopes.append(Scope(Quantifier.EXISTS, tuple(self.free_ids)))

@@ -135,8 +135,9 @@ def preprocess(problem: QbfProblem) -> tuple[QbfProblem, PreprocessInfo]:
             break
         info.eliminated.update(subst)
 
-    prefix = [Scope(s.quantifier,
-                    tuple(v for v in s.vars if v not in info.eliminated))
+    gone = info.eliminated.keys()  # a block none of whose variables went stays
+    prefix = [s if gone.isdisjoint(s.vars) else
+              Scope(s.quantifier, tuple(v for v in s.vars if v not in gone))
               for s in problem.prefix]
     names = {v: problem.var_names[v] for v in quantifier if v not in info.eliminated}
     if src.kinds[matrix] in (TRUE, FALSE):

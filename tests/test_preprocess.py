@@ -75,6 +75,19 @@ def test_eliminated_variables_leave_the_prefix():
         assert 1 not in scope.vars
 
 
+def test_blocks_without_an_eliminated_variable_come_back_as_they_were():
+    # 5 is pure and goes; 1 to 4 each occur in both polarities and stay, so
+    # only the last block is rebuilt
+    p = parse_qdimacs("p cnf 5 8\ne 1 2 0\na 3 0\ne 4 5 0\n1 3 5 0\n-1 -3 0\n"
+                      "1 -3 0\n-1 3 0\n2 4 0\n-2 -4 0\n2 -4 0\n-2 4 0\n")
+    reduced, info = preprocess(p)
+    assert info.eliminated == {5: True}
+    assert reduced.prefix[0] is p.prefix[0]
+    assert reduced.prefix[1] is p.prefix[1]
+    assert reduced.prefix[2] is not p.prefix[2]
+    assert reduced.prefix[2].vars == (4,)
+
+
 def test_idempotent():
     rng = random.Random(5)
     for _ in range(40):

@@ -38,9 +38,11 @@ def xor_chain(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_shared_qcir(rng):
+def random_shared_qcir(rng, quantifiers=False):
     """A random QCIR text whose gates reuse recently defined gates.
 
+    With `quantifiers`, some gates are gate quantifiers that rebind names of
+    the prefix, so the gates they read are expanded under those bindings.
     Returns the text, the number of gates, and the truth value computed
     straight from the gate definitions, without qbfkit.
     """
@@ -54,6 +56,12 @@ def random_shared_qcir(rng):
         order = order[take:]
     gates = []
     for i in range(rng.randint(1, 10)):
+        if quantifiers and gates and rng.random() < 0.3:
+            op = rng.choice(("exists", "forall"))
+            rebound = rng.sample(names, rng.randint(1, 2))
+            args = [(rng.choice(gates[-3:])[0], rng.random() < 0.4)]
+            gates.append((f"g{i}", op, args, rebound))
+            continue
         op = rng.choice(("and", "or", "xor", "ite"))
         arity = {"xor": 2, "ite": 3}.get(op) or rng.randint(2, 3)
         args = []
@@ -63,35 +71,52 @@ def random_shared_qcir(rng):
             else:
                 source = rng.choice(names)
             args.append((source, rng.random() < 0.4))
-        gates.append((f"g{i}", op, args))
+        gates.append((f"g{i}", op, args, []))
     out, out_neg = gates[-1][0], rng.random() < 0.3
 
     lines = ["#QCIR-G14"]
     lines += [f"{q}({', '.join(vs)})" for q, vs in blocks]
     lines.append(f"output({'-' if out_neg else ''}{out})")
-    for name, op, args in gates:
+    for name, op, args, rebound in gates:
         rendered = ", ".join(("-" if neg else "") + a for a, neg in args)
+        if rebound:
+            rendered = f"{', '.join(rebound)}; {rendered}"
         lines.append(f"{name} = {op}({rendered})")
 
-    def matrix(values):
-        val = dict(values)
-        for name, op, args in gates:
-            bits = [val[a] != neg for a, neg in args]
+    definitions = {name: (op, args, rebound) for name, op, args, rebound in gates}
+    memo = {}
+
+    def value(name, env):
+        if name not in definitions:
+            return env[name]
+        key = (name, tuple(env[v] for v in names))
+        if key in memo:
+            return memo[key]
+        op, args, rebound = definitions[name]
+        if rebound:
+            (a, neg), = args
+            outcomes = (value(a, {**env, **dict(zip(rebound, bits))}) != neg
+                        for bits in itertools.product((False, True),
+                                                      repeat=len(rebound)))
+            result = any(outcomes) if op == "exists" else all(outcomes)
+        else:
+            bits = [value(a, env) != neg for a, neg in args]
             if op == "and":
-                val[name] = all(bits)
+                result = all(bits)
             elif op == "or":
-                val[name] = any(bits)
+                result = any(bits)
             elif op == "xor":
-                val[name] = bits[0] != bits[1]
+                result = bits[0] != bits[1]
             else:
-                val[name] = bits[1] if bits[0] else bits[2]
-        return val[out] != out_neg
+                result = bits[1] if bits[0] else bits[2]
+        memo[key] = result
+        return result
 
     quantified = [(q, v) for q, vs in blocks for v in vs]
 
     def truth(index, values):
         if index == len(quantified):
-            return matrix(values)
+            return value(out, values) != out_neg
         q, v = quantified[index]
         outcomes = (truth(index + 1, {**values, v: bit}) for bit in (False, True))
         return any(outcomes) if q == "exists" else all(outcomes)
@@ -390,6 +415,64 @@ def test_hoisting_gate_chain_of_two_hundred_levels_stays_linear():
     circuit = build_certificate(problem, reduced, info.eliminated, trace, value)
     assert verify(problem, circuit).valid
     assert time.perf_counter() - start < 2.0
+
+
+def gate_quantified_xor_chain(n: int) -> str:
+    """exists x1..xn: exists y (p_n | y), which is true, where the xor chain
+    ``p_i = xor(p_{i-1}, x_i)`` is read inside the gate quantifier's body."""
+    lines = ["#QCIR-G14",
+             "exists(" + ", ".join(f"x{i}" for i in range(1, n + 1)) + ")",
+             "output(q)", "q = exists(y; r)", f"r = or(p{n}, y)"]
+    prev = "x1"
+    for i in range(2, n + 1):
+        lines.append(f"p{i} = xor({prev}, x{i})")
+        prev = f"p{i}"
+    return "\n".join(lines) + "\n"
+
+
+def test_xor_chain_under_a_gate_quantifier_stays_linear():
+    # the chain reads no name that a gate quantifier binds, so inside the
+    # quantifier's body each of its gates is one node per polarity too
+    text = gate_quantified_xor_chain(40)
+    start = time.perf_counter()
+    problem = parse_qcir(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(problem.arena) <= 12 * len(text.splitlines())
+    reduced, info = preprocess(problem)
+    value, trace, _ = solve_abstraction(reduced)
+    assert value is True
+    circuit = build_certificate(problem, reduced, info.eliminated, trace, value)
+    assert verify(problem, circuit).valid
+
+
+def test_random_shared_gates_under_gate_quantifiers_agree_with_oracles():
+    rng = random.Random(20261021)
+    outcomes = set()
+    quantified = shared = 0
+    for _ in range(300):
+        while True:
+            text, _, expected = random_shared_qcir(rng, quantifiers=True)
+            problem = parse_qcir(text)
+            if len(problem.var_names) <= 12:  # keeps brute force cheap
+                break
+        assert brute_force(problem) == expected, text
+        if ";" in text:
+            quantified += 1
+            shared += has_shared_node(problem)
+        for reduce in (False, True):
+            if reduce:
+                reduced, info = preprocess(problem)
+            else:
+                reduced, info = problem, PreprocessInfo()
+            value, trace, _ = solve_abstraction(reduced)
+            assert value == expected, (reduce, text)
+            assert solve_assignment(reduced)[0] == expected, (reduce, text)
+            circuit = build_certificate(problem, reduced, info.eliminated,
+                                        trace, value)
+            assert verify(problem, circuit).valid, (reduce, text)
+        outcomes.add(expected)
+    assert outcomes == {False, True}
+    assert quantified >= 200 and shared >= 70, (quantified, shared)
 
 
 def test_certify_trace_names_gates_of_the_reduced_arena(tmp_path, capsys):
