@@ -189,7 +189,7 @@ class _QcirReader:
         support: dict[str, set[str]] = {}
         readers: dict[str, list[str]] = {}  # gate -> the gates reading it
         for name, (op, args, _, _) in gates.items() if bindable else ():
-            names = [a.lstrip("-") for a in args or [op[2]]]
+            names = [a.lstrip("-") for a in (args if args is not None else [op[2]])]
             support[name] = bindable.intersection(names).difference(binds.get(name, ()))
             for a in names:
                 if a in gates:

@@ -10,7 +10,7 @@ from qbfkit.bench import gen_qparity
 from qbfkit.certify import build_certificate, read_trace, verify
 from qbfkit.formula import (AND, LIT, OR, Arena, QbfProblem, Scope,
                             class_postorder, postorder, problems_equal)
-from qbfkit.parsing import parse_qcir, write_qcir
+from qbfkit.parsing import _QcirReader, parse_qcir, write_qcir
 from qbfkit.preprocess import PreprocessInfo, preprocess
 from qbfkit.sat import Solver
 from qbfkit.solver import solve_abstraction, solve_assignment
@@ -473,6 +473,21 @@ def test_random_shared_gates_under_gate_quantifiers_agree_with_oracles():
         outcomes.add(expected)
     assert outcomes == {False, True}
     assert quantified >= 200 and shared >= 70, (quantified, shared)
+
+
+def test_empty_gates_under_a_gate_quantifier():
+    # an empty and/or gate has no argument to carry a support; with a gate
+    # quantifier binding `d` in the file, neither must read its op's letters
+    for inner, expected in (("or()", False), ("and()", True)):
+        text = ("#QCIR-G14\nexists(x)\noutput(q)\n"
+                f"q = forall(d; r)\nr = or(h, d)\nh = {inner}\n")
+        reader = _QcirReader(text)
+        reader.read_lines()
+        assert "h" not in reader.supports()
+        problem = parse_qcir(text)
+        assert brute_force(problem) is expected, text
+        assert solve_abstraction(problem)[0] is expected
+        assert solve_assignment(problem)[0] is expected
 
 
 def test_certify_trace_names_gates_of_the_reduced_arena(tmp_path, capsys):
